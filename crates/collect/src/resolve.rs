@@ -82,17 +82,6 @@ impl<'p> ContextResolver<'p> {
         self.cache.insert(ctx, path.clone());
         path
     }
-
-    /// Resolve to the deepest vertex only.
-    pub fn resolve_leaf(&mut self, sp: &mut StaticPag, cct: &Cct, ctx: CtxId) -> VertexId {
-        // Infallible: `resolve` unconditionally pushes the root vertex
-        // before walking the context, so the returned path is never empty
-        // even for a truncated or unresolvable context.
-        *self
-            .resolve(sp, cct, ctx)
-            .last()
-            .expect("path always contains the root")
-    }
 }
 
 #[cfg(test)]

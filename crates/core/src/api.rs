@@ -43,11 +43,6 @@ impl PerFlow {
         passes::hotspot(set, pag::keys::TIME, n)
     }
 
-    /// Hotspot detection by an arbitrary metric.
-    pub fn hotspot_by(&self, set: &VertexSet, metric: &str, n: usize) -> VertexSet {
-        passes::hotspot(set, metric, n)
-    }
-
     /// Imbalance analysis at the given imbalance-factor threshold.
     pub fn imbalance_analysis(&self, set: &VertexSet, threshold: f64) -> VertexSet {
         passes::imbalance(set, threshold)

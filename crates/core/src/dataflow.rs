@@ -6,9 +6,10 @@
 //! input lands, onto a bounded pool of scoped worker threads — dataflow
 //! graphs with independent branches (e.g. the Vite diagnosis graph of
 //! Fig. 14) exploit multicore hosts automatically, without the idle
-//! bubbles of level-synchronous scheduling. `execute_with_cache()` adds
-//! a content-hash pass-result cache ([`crate::cache::PassCache`]) so
-//! re-running an unchanged graph replays memoized results.
+//! bubbles of level-synchronous scheduling. `execute_with()` with
+//! [`ExecOptions::with_cache`] adds a content-hash pass-result cache
+//! ([`crate::cache::PassCache`]) so re-running an unchanged graph replays
+//! memoized results.
 //!
 //! Results are deterministic regardless of worker count or dispatch
 //! order: each node's outputs depend only on its inputs, and the
@@ -80,7 +81,7 @@ pub struct Outputs {
     /// Order in which passes ran (merged trails).
     pub trail: Vec<String>,
     /// Scheduler metrics (empty unless the run was observed via
-    /// [`PerFlowGraph::execute_observed`]).
+    /// [`ExecOptions::with_obs`]).
     pub metrics: RunMetrics,
     /// Nodes that failed (error, panic, or timeout after retries) in an
     /// [`ExecPolicy::Isolate`] run, sorted by node id. Empty on
@@ -243,47 +244,11 @@ impl PerFlowGraph {
         self.execute_with(&ExecOptions::new())
     }
 
-    /// Execute with a pinned worker-pool size (`1` = fully serial).
-    /// Outputs and trail are identical for every worker count — this
-    /// knob exists for determinism tests and scheduling benchmarks.
-    pub fn execute_with_workers(&self, workers: usize) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_workers(workers))
-    }
-
-    /// Execute with a pass-result cache: every `(pass, inputs)` pair
-    /// already in `cache` replays its memoized outputs instead of
-    /// running. Re-executing an unchanged graph against the same cache
-    /// hits on every node.
-    pub fn execute_with_cache(&self, cache: &PassCache) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_cache(cache))
-    }
-
-    /// Execute under an observability handle: every pass dispatch is
-    /// recorded as a `Core`-layer span on `obs` (lane = worker index)
-    /// and summarized in [`Outputs::metrics`]. With a disabled handle
-    /// this is exactly [`PerFlowGraph::execute`].
-    pub fn execute_observed(&self, obs: &Obs) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_obs(obs.clone()))
-    }
-
-    /// Shorthand kept for existing callers: optional cache, optional
-    /// pinned worker count, observability handle.
-    pub fn execute_observed_with(
-        &self,
-        obs: &Obs,
-        cache: Option<&PassCache>,
-        workers: Option<usize>,
-    ) -> Result<Outputs, PerFlowError> {
-        let mut opts = ExecOptions::new().with_obs(obs.clone());
-        opts.cache = cache;
-        opts.workers = workers.map(|w| w.max(1));
-        self.execute_with(&opts)
-    }
-
-    /// Fully configurable resilient execution. All other `execute*`
-    /// methods are shorthands for this; see [`ExecOptions`] for the
-    /// failure policy, deadline, retry, cache, and checkpoint/resume
-    /// knobs.
+    /// Fully configurable resilient execution; [`PerFlowGraph::execute`]
+    /// is this with default options. See [`ExecOptions`] for the failure
+    /// policy, deadline, retry, cache, worker-count, observability and
+    /// checkpoint/resume knobs. Outputs and trail are identical for every
+    /// worker count.
     pub fn execute_with(&self, opts: &ExecOptions<'_>) -> Result<Outputs, PerFlowError> {
         self.run_scheduler(opts)
     }
@@ -1149,11 +1114,15 @@ mod tests {
         }));
         g.pipe(s, sq).unwrap();
         let cache = crate::cache::PassCache::new();
-        let first = g.execute_with_cache(&cache).unwrap();
+        let first = g
+            .execute_with(&ExecOptions::new().with_cache(&cache))
+            .unwrap();
         assert_eq!(first.of(sq)[0].as_num(), Some(9.0));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
-        let second = g.execute_with_cache(&cache).unwrap();
+        let second = g
+            .execute_with(&ExecOptions::new().with_cache(&cache))
+            .unwrap();
         assert_eq!(second.of(sq)[0].as_num(), Some(9.0));
         assert_eq!(cache.stats().hits, 2, "every node replays from cache");
         assert_eq!(cache.stats().misses, 2);
@@ -1173,7 +1142,9 @@ mod tests {
                 Ok(vec![Value::Num(v * v)])
             }));
             g.pipe(s, sq).unwrap();
-            let out = g.execute_with_cache(&cache).unwrap();
+            let out = g
+                .execute_with(&ExecOptions::new().with_cache(&cache))
+                .unwrap();
             assert_eq!(out.of(sq)[0].as_num(), Some(want));
         }
         // Different source values → different keys → no false hits.

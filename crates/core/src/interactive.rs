@@ -152,16 +152,9 @@ impl InteractiveSession {
     /// Project the current set onto the parallel view (all flow replicas
     /// of the current top-down vertices).
     pub fn to_parallel(&mut self) -> &VertexSet {
-        let pv = GraphRef::Parallel(std::sync::Arc::clone(&self.run));
-        let ids: std::collections::HashSet<i64> =
-            self.current.ids.iter().map(|v| v.0 as i64).collect();
-        let next = pv.all_vertices().retain(|v| {
-            pv.pag()
-                .vprop(v, keys::TOPDOWN_VERTEX)
-                .and_then(|p| p.as_i64())
-                .map(|td| ids.contains(&td))
-                .unwrap_or(false)
-        });
+        let next = self
+            .current
+            .parallel_replicas(&GraphRef::Parallel(std::sync::Arc::clone(&self.run)));
         self.step("to_parallel_view".to_string(), next);
         &self.current
     }

@@ -57,14 +57,7 @@ pub fn contention_diagnosis(
     // Project suspicious vertices onto the slow run's parallel view
     // (all replicas across processes and threads).
     let pv = GraphRef::Parallel(std::sync::Arc::clone(slow));
-    let ids: std::collections::HashSet<i64> = suspicious.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| ids.contains(&td))
-            .unwrap_or(false)
-    });
+    let flows = suspicious.parallel_replicas(&pv);
 
     // Causal analysis over the laggard replicas.
     let laggards = {
@@ -145,14 +138,7 @@ pub fn iterative_causal(
 
     // Project onto the parallel view and find the imbalanced replicas.
     let pv = GraphRef::Parallel(std::sync::Arc::clone(run));
-    let ids: std::collections::HashSet<i64> = comm_hot.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| ids.contains(&td))
-            .unwrap_or(false)
-    });
+    let flows = comm_hot.parallel_replicas(&pv);
     let mut current = imbalance(&flows, 0.1);
     if current.is_empty() {
         current = flows.sort_by(keys::TIME).top(8);

@@ -84,14 +84,7 @@ pub fn scalability_analysis(
     // 5. Project onto the parallel view: the lagging flow replicas of the
     //    union vertices.
     let pv = GraphRef::Parallel(std::sync::Arc::clone(large));
-    let union_ids: std::collections::HashSet<i64> = union.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| union_ids.contains(&td))
-            .unwrap_or(false)
-    });
+    let flows = union.parallel_replicas(&pv);
     let mut lagging = imbalance(&flows, imbalance_threshold);
     if lagging.is_empty() {
         // Uniformly lost time: take the slowest replica per vertex.

@@ -40,9 +40,7 @@ pub fn backtracking(set: &VertexSet, max_steps: usize) -> (VertexSet, EdgeSet) {
             if !visited.insert(v) {
                 break;
             }
-            if !vs.ids.contains(&v) {
-                vs.ids.push(v);
-            }
+            vs.ids.push(v);
             if COLL_COMM.contains(&pag.vertex_name(v)) && v != start {
                 break; // collectives synchronize: propagation ends here
             }

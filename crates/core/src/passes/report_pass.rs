@@ -114,14 +114,14 @@ impl Pass for ReportPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexLabel, ViewKind};
+    use pag::{keys, mkeys, Pag, VertexLabel, ViewKind};
     use std::sync::Arc;
 
     fn set() -> VertexSet {
         let mut g = Pag::new(ViewKind::TopDown, "r");
         let v = g.add_vertex(VertexLabel::Compute, "kern");
-        g.set_vprop(v, keys::TIME, 1_500_000.0);
-        g.set_vprop(v, keys::DEBUG_INFO, "a.c:12");
+        g.set_metric(v, mkeys::TIME, 1_500_000.0);
+        g.set_vstr(v, keys::DEBUG_INFO, "a.c:12");
         GraphRef::Detached(Arc::new(g))
             .all_vertices()
             .with_score(v, 0.5)

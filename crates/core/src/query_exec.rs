@@ -202,19 +202,17 @@ fn apply_filter(
 }
 
 /// The string value of a field at a vertex: `name`/`label` read the
-/// vertex itself, everything else (including `shim:` access) goes
-/// through the string-keyed property shim.
+/// vertex itself, string properties come next, and any other field is
+/// rendered from the by-name property read.
 fn string_of(set: &VertexSet, v: pag::VertexId, field: &Field) -> Option<String> {
     let pag = set.graph.pag();
-    if !field.shim {
-        match field.name.as_str() {
-            "name" => return Some(pag.vertex_name(v).to_string()),
-            "label" => return Some(pag.vertex(v).label.name().to_string()),
-            _ => {}
-        }
-        if let Some(s) = pag.vstr(v, &field.name) {
-            return Some(s.to_string());
-        }
+    match field.name.as_str() {
+        "name" => return Some(pag.vertex_name(v).to_string()),
+        "label" => return Some(pag.vertex(v).label.name().to_string()),
+        _ => {}
+    }
+    if let Some(s) = pag.vstr(v, &field.name) {
+        return Some(s.to_string());
     }
     pag.vprop(v, &field.name).map(|p| p.to_string())
 }
@@ -259,7 +257,7 @@ mod tests {
     use super::*;
     use crate::api::PerFlow;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexId, VertexLabel, ViewKind};
+    use pag::{keys, mkeys, Pag, VertexId, VertexLabel, ViewKind};
     use simrt::RunConfig;
     use std::sync::Arc;
 
@@ -279,7 +277,7 @@ mod tests {
                 },
                 name,
             );
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         GraphRef::Detached(Arc::new(g))
     }
@@ -368,7 +366,7 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "n");
         for (name, t) in [("a", 1.0), ("b", f64::NAN), ("c", 3.0)] {
             let v = g.add_vertex(VertexLabel::Compute, name);
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         let g = GraphRef::Detached(Arc::new(g));
         let first = eval_set("from vertices | sort time desc nan_first", &g);
@@ -382,7 +380,7 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "n");
         for name in ["a", "b", "c"] {
             let v = g.add_vertex(VertexLabel::Compute, name);
-            g.set_vprop(v, keys::TIME, f64::NAN);
+            g.set_metric(v, mkeys::TIME, f64::NAN);
         }
         let g = GraphRef::Detached(Arc::new(g));
         for src in [

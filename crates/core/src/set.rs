@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use pag::{EdgeId, KeyId, VertexId, VertexLabel};
+use pag::{mkeys, EdgeId, KeyId, VertexId, VertexLabel};
 
 use crate::error::PerFlowError;
 use crate::graphref::GraphRef;
@@ -64,12 +64,6 @@ impl VertexSet {
             let pag = self.graph.pag();
             pag.key_id(metric).map_or(0.0, |k| pag.metric_f64(v, k))
         }
-    }
-
-    /// Read a metric for a member by its resolved column id — the hot-path
-    /// variant of [`metric`](Self::metric) that skips key lookup entirely.
-    pub fn metric_by_key(&self, v: VertexId, key: KeyId) -> f64 {
-        self.graph.pag().metric_f64(v, key)
     }
 
     /// Sort members descending by a metric (ties by id, deterministic).
@@ -153,6 +147,18 @@ impl VertexSet {
             ids,
             scores,
         }
+    }
+
+    /// Project top-down members onto a parallel view: every vertex of
+    /// `parallel` whose `topdown-vertex` link points at a member of `self`
+    /// (all replicas across processes and threads), in parallel-view order.
+    pub(crate) fn parallel_replicas(&self, parallel: &GraphRef) -> VertexSet {
+        let ids: HashSet<i64> = self.ids.iter().map(|v| v.0 as i64).collect();
+        let pag = parallel.pag();
+        parallel.all_vertices().retain(|v| {
+            pag.metric_i64(v, mkeys::TOPDOWN_VERTEX)
+                .is_some_and(|td| ids.contains(&td))
+        })
     }
 
     /// Set union (stable: self's order first). Errors when the sets live
@@ -299,7 +305,7 @@ mod tests {
                 *name,
             );
             assert_eq!(v.0 as usize, i);
-            g.set_vprop(v, keys::TIME, *t);
+            g.set_metric(v, mkeys::TIME, *t);
         }
         g.add_edge(VertexId(0), VertexId(1), EdgeLabel::IntraProc);
         g.add_edge(VertexId(1), VertexId(2), EdgeLabel::IntraProc);

@@ -55,9 +55,6 @@ impl Criterion {
         run_one(&name.into(), self.sample_size, &mut f);
         self
     }
-
-    /// Printed by `criterion_main!` after all groups complete.
-    pub fn final_summary(&self) {}
 }
 
 /// A named collection of related benchmarks.

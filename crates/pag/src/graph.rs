@@ -40,10 +40,10 @@ pub struct EdgeData {
 /// program execution (§3.1).
 ///
 /// Numeric vertex/edge metrics are stored column-wise ([`MetricColumns`])
-/// keyed by interned [`KeyId`]s: read with the typed accessors
-/// ([`Pag::metric`], [`Pag::metric_vec`], edge variants) in hot loops, or
-/// through the string-keyed [`Pag::vprop`]/[`Pag::set_vprop`] compat shim
-/// where convenience beats speed.
+/// keyed by interned [`KeyId`]s and written and read through the typed
+/// accessors ([`Pag::metric`], [`Pag::set_metric`], [`Pag::metric_vec`],
+/// edge variants). [`Pag::vprop`] is the one by-name read, for field names
+/// that only arrive at run time.
 #[derive(Debug, Clone)]
 pub struct Pag {
     view: ViewKind,
@@ -267,13 +267,6 @@ impl Pag {
             .collect()
     }
 
-    /// Sum of inclusive `time` over vertices that carry it (a single
-    /// columnar scan). On the top-down view this over-counts nested
-    /// snippets; use the root time for total program time instead.
-    pub fn sum_time(&self) -> f64 {
-        self.vmetrics.sum(metric::keys::TIME)
-    }
-
     /// Total program time: the root vertex's inclusive time.
     pub fn total_time(&self) -> f64 {
         self.root.map(|r| self.vertex_time(r)).unwrap_or(0.0)
@@ -435,25 +428,6 @@ impl Pag {
             .set(k, e.index(), value as f64, Self::int_kinded(k, true));
     }
 
-    /// Add `delta` to a scalar edge metric (absent counts as zero).
-    #[inline]
-    pub fn add_emetric(&mut self, e: EdgeId, k: KeyId, delta: f64) {
-        self.emetrics
-            .add(k, e.index(), delta, Self::int_kinded(k, false));
-    }
-
-    /// Vector edge metric.
-    #[inline]
-    pub fn emetric_vec(&self, e: EdgeId, k: KeyId) -> Option<&[f64]> {
-        self.emetrics.get_vec(k, e.index()).map(|a| a.as_ref())
-    }
-
-    /// Set a vector edge metric.
-    #[inline]
-    pub fn set_emetric_vec(&mut self, e: EdgeId, k: KeyId, value: impl Into<Arc<[f64]>>) {
-        self.emetrics.set_vec(k, e.index(), value.into());
-    }
-
     // ----- string properties -----
 
     /// String property of a vertex (debug info, comm info, …).
@@ -466,169 +440,49 @@ impl Pag {
         self.vertex_mut(v).sprops.set(key, value.into());
     }
 
-    /// String property of an edge.
-    pub fn estr(&self, e: EdgeId, key: &str) -> Option<&str> {
-        self.edge(e).sprops.get(key).and_then(|p| p.as_str())
-    }
-
-    /// Set a string property on an edge.
-    pub fn set_estr(&mut self, e: EdgeId, key: &str, value: impl Into<Arc<str>>) {
-        self.edge_mut(e).sprops.set(key, value.into());
-    }
-
-    // ----- string-keyed compat shim -----
-
-    fn shim_get(
-        &self,
-        sprops: &PropMap,
-        cols: &MetricColumns,
-        row: usize,
-        key: &str,
-    ) -> Option<PropValue> {
-        if let Some(k) = self.keytab.resolve(key) {
-            if let Some(x) = cols.get(k, row) {
-                let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
-                return Some(if is_int {
-                    PropValue::Int(x as i64)
-                } else {
-                    PropValue::Float(x)
-                });
-            }
-            if let Some(xs) = cols.get_vec(k, row) {
-                return Some(PropValue::VecF64(xs.clone()));
-            }
+    /// Metric `k` on `row` of `cols` as a [`PropValue`] (integer-kinded
+    /// scalars as `Int`, other scalars as `Float`, vectors as `VecF64`).
+    fn metric_value(cols: &MetricColumns, k: KeyId, row: usize) -> Option<PropValue> {
+        if let Some(x) = cols.get(k, row) {
+            let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
+            return Some(if is_int {
+                PropValue::Int(x as i64)
+            } else {
+                PropValue::Float(x)
+            });
         }
-        sprops.get(key).cloned()
-    }
-
-    /// Set a property on a vertex by wire name. Numeric values are routed
-    /// into the metric columns (interning the key), strings into the
-    /// per-vertex string map; the two stores never hold the same key at
-    /// once. Prefer the typed setters in hot loops.
-    pub fn set_vprop(&mut self, v: VertexId, key: &str, value: impl Into<PropValue>) {
-        let row = v.index();
-        match value.into() {
-            PropValue::Int(i) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics
-                    .set(k, row, i as f64, Self::int_kinded(k, true));
-            }
-            PropValue::Float(f) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics.set(k, row, f, Self::int_kinded(k, false));
-            }
-            PropValue::VecF64(xs) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics.set_vec(k, row, xs);
-            }
-            PropValue::Str(s) => {
-                if let Some(k) = self.keytab.resolve(key) {
-                    self.vmetrics.remove(k, row);
-                }
-                self.vertices[row].sprops.set(key, s);
-            }
-        }
+        cols.get_vec(k, row).map(|xs| PropValue::VecF64(xs.clone()))
     }
 
     /// Read a vertex property by wire name (metric columns first, then
-    /// string properties). Returns an owned value; prefer the typed
-    /// accessors in hot loops.
+    /// string properties). This is the one by-name read, for field names
+    /// that only arrive at run time (report fields, queries); for a key
+    /// known at compile time use the typed accessors instead.
     pub fn vprop(&self, v: VertexId, key: &str) -> Option<PropValue> {
-        self.shim_get(&self.vertex(v).sprops, &self.vmetrics, v.index(), key)
+        self.keytab
+            .resolve(key)
+            .and_then(|k| Self::metric_value(&self.vmetrics, k, v.index()))
+            .or_else(|| self.vertex(v).sprops.get(key).cloned())
     }
 
-    /// Remove a vertex property by wire name (either store); true if
-    /// something was removed.
-    pub fn remove_vprop(&mut self, v: VertexId, key: &str) -> bool {
-        let row = v.index();
-        let mut removed = false;
-        if let Some(k) = self.keytab.resolve(key) {
-            removed |= self.vmetrics.remove(k, row);
-        }
-        removed |= self.vertices[row].sprops.remove(key).is_some();
-        removed
-    }
-
-    /// Set an edge property by wire name (shim; see [`Pag::set_vprop`]).
-    pub fn set_eprop(&mut self, e: EdgeId, key: &str, value: impl Into<PropValue>) {
-        let row = e.index();
-        match value.into() {
-            PropValue::Int(i) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics
-                    .set(k, row, i as f64, Self::int_kinded(k, true));
-            }
-            PropValue::Float(f) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics.set(k, row, f, Self::int_kinded(k, false));
-            }
-            PropValue::VecF64(xs) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics.set_vec(k, row, xs);
-            }
-            PropValue::Str(s) => {
-                if let Some(k) = self.keytab.resolve(key) {
-                    self.emetrics.remove(k, row);
-                }
-                self.edges[row].sprops.set(key, s);
-            }
-        }
-    }
-
-    /// Read an edge property by wire name (shim; owned value).
-    pub fn eprop(&self, e: EdgeId, key: &str) -> Option<PropValue> {
-        self.shim_get(&self.edge(e).sprops, &self.emetrics, e.index(), key)
-    }
-
-    fn merged_entries(
-        &self,
-        sprops: &PropMap,
-        cols: &MetricColumns,
-        row: usize,
-    ) -> Vec<(Arc<str>, PropValue)> {
-        let mut out: Vec<(Arc<str>, PropValue)> = sprops
+    /// All properties of a vertex — string properties and metrics merged —
+    /// as `(wire name, value)` pairs in key order. For rendering, not for
+    /// hot loops.
+    pub fn prop_entries(&self, v: VertexId) -> Vec<(Arc<str>, PropValue)> {
+        let mut out: Vec<(Arc<str>, PropValue)> = self
+            .vertex(v)
+            .sprops
             .iter()
-            .map(|(k, v)| (Arc::from(k), v.clone()))
+            .map(|(k, p)| (Arc::from(k), p.clone()))
             .collect();
         for ki in 0..self.keytab.len() {
             let k = KeyId(ki as u32);
-            if let Some(x) = cols.get(k, row) {
-                let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
-                out.push((
-                    Arc::from(self.keytab.name(k)),
-                    if is_int {
-                        PropValue::Int(x as i64)
-                    } else {
-                        PropValue::Float(x)
-                    },
-                ));
-            } else if let Some(xs) = cols.get_vec(k, row) {
-                out.push((
-                    Arc::from(self.keytab.name(k)),
-                    PropValue::VecF64(xs.clone()),
-                ));
+            if let Some(p) = Self::metric_value(&self.vmetrics, k, v.index()) {
+                out.push((Arc::from(self.keytab.name(k)), p));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// All properties of a vertex — string properties and metrics merged —
-    /// as `(wire name, value)` pairs in key order. For rendering and
-    /// serialization, not for hot loops.
-    pub fn prop_entries(&self, v: VertexId) -> Vec<(Arc<str>, PropValue)> {
-        self.merged_entries(&self.vertex(v).sprops, &self.vmetrics, v.index())
-    }
-
-    /// All properties of an edge in key order (see [`Pag::prop_entries`]).
-    pub fn eprop_entries(&self, e: EdgeId) -> Vec<(Arc<str>, PropValue)> {
-        self.merged_entries(&self.edge(e).sprops, &self.emetrics, e.index())
     }
 
     /// Extract the subgraph induced by `vertices`: the selected vertices
@@ -835,10 +689,41 @@ mod tests {
     #[test]
     fn props_roundtrip_through_graph() {
         let mut g = tiny();
-        g.set_vprop(VertexId(0), keys::TIME, 12.5);
-        assert_eq!(g.vertex_time(VertexId(0)), 12.5);
+        let v = VertexId(0);
+        g.set_metric(v, metric::keys::TIME, 12.5);
+        assert_eq!(g.vertex_time(v), 12.5);
         assert_eq!(g.total_time(), 12.5);
         assert!(g.vprop(VertexId(1), keys::TIME).is_none());
+        g.set_metric_i64(v, metric::keys::COUNT, 9);
+        g.set_metric_vec(v, metric::keys::TIME_PER_PROC, vec![1.0, 1.5]);
+        g.set_vstr(v, keys::DEBUG_INFO, "a.c:1");
+        // The by-name read sees the typed columns and the string store.
+        assert_eq!(g.vprop(v, keys::TIME), Some(PropValue::Float(12.5)));
+        assert_eq!(g.vprop(v, keys::COUNT), Some(PropValue::Int(9)));
+        assert_eq!(
+            g.vprop(v, keys::TIME_PER_PROC),
+            Some(PropValue::from(vec![1.0, 1.5]))
+        );
+        assert_eq!(g.vprop(v, keys::DEBUG_INFO), Some(PropValue::from("a.c:1")));
+        // User keys are interned before their first write.
+        let k = g.intern_key("my-metric");
+        assert!(!k.is_global());
+        g.set_metric(v, k, 7.0);
+        assert_eq!(g.key_id("my-metric"), Some(k));
+        assert_eq!(g.vprop(v, "my-metric"), Some(PropValue::Float(7.0)));
+        // Strings stay out of the columns.
+        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("a.c:1"));
+        assert!(g.key_id(keys::DEBUG_INFO).is_none());
+        // Merged entries are sorted and complete.
+        let names: Vec<String> = g
+            .prop_entries(v)
+            .iter()
+            .map(|(k, _)| k.to_string())
+            .collect();
+        assert!(names.is_sorted());
+        for name in ["count", "debug-info", "my-metric", "time", "time-per-proc"] {
+            assert!(names.contains(&name.to_string()), "{name} missing");
+        }
     }
 
     #[test]
@@ -883,80 +768,14 @@ mod tests {
             EdgeLabel::InterProcess(CommKind::P2pAsync),
         );
         assert_eq!(g.edge(e).label, EdgeLabel::InterProcess(CommKind::P2pAsync));
-        g.set_eprop(e, keys::COMM_BYTES, 1024i64);
-        assert_eq!(g.eprop(e, keys::COMM_BYTES).unwrap().as_i64(), Some(1024));
+        g.set_emetric_i64(e, metric::keys::COMM_BYTES, 1024);
         assert_eq!(g.emetric_i64(e, metric::keys::COMM_BYTES), Some(1024));
-    }
-
-    #[test]
-    fn typed_accessors_and_shim_agree() {
-        let mut g = tiny();
-        let v = VertexId(0);
-        g.set_metric(v, metric::keys::TIME, 2.5);
-        g.set_metric_i64(v, metric::keys::COUNT, 9);
-        g.set_metric_vec(v, metric::keys::TIME_PER_PROC, vec![1.0, 1.5]);
-        g.set_vstr(v, keys::DEBUG_INFO, "a.c:1");
-        // Shim sees the columns.
-        assert_eq!(g.vprop(v, keys::TIME), Some(PropValue::Float(2.5)));
-        assert_eq!(g.vprop(v, keys::COUNT), Some(PropValue::Int(9)));
-        assert_eq!(
-            g.vprop(v, keys::TIME_PER_PROC)
-                .unwrap()
-                .as_f64_slice()
-                .unwrap(),
-            &[1.0, 1.5]
-        );
-        // Columns see shim writes.
-        g.set_vprop(v, keys::WAIT_TIME, 0.25);
-        assert_eq!(g.metric(v, metric::keys::WAIT_TIME), Some(0.25));
-        // User keys intern on first shim write.
-        g.set_vprop(v, "my-metric", 7.0);
-        let k = g.key_id("my-metric").unwrap();
-        assert!(!k.is_global());
-        assert_eq!(g.metric(v, k), Some(7.0));
-        assert_eq!(g.key_name(k), "my-metric");
-        // Strings stay out of the columns.
-        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("a.c:1"));
-        assert!(g.key_id(keys::DEBUG_INFO).is_none());
-        // remove_vprop clears either store.
-        assert!(g.remove_vprop(v, keys::COUNT));
-        assert_eq!(g.metric(v, metric::keys::COUNT), None);
-        // Merged entries are sorted and complete.
-        let names: Vec<String> = g
-            .prop_entries(v)
-            .iter()
-            .map(|(k, _)| k.to_string())
-            .collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert!(names.contains(&"debug-info".to_string()));
-        assert!(names.contains(&"my-metric".to_string()));
-        assert!(names.contains(&"time-per-proc".to_string()));
-    }
-
-    #[test]
-    fn shim_replaces_across_stores() {
-        let mut g = tiny();
-        let v = VertexId(0);
-        g.set_vprop(v, "x", 1.0);
-        g.set_vprop(v, "x", "now a string");
-        assert_eq!(g.vprop(v, "x"), Some(PropValue::from("now a string")));
-        g.set_vprop(v, "x", 2i64);
-        assert_eq!(g.vprop(v, "x"), Some(PropValue::Int(2)));
-        assert_eq!(
-            g.prop_entries(v)
-                .iter()
-                .filter(|(k, _)| k.as_ref() == "x")
-                .count(),
-            1
-        );
     }
 
     #[test]
     fn induced_subgraph_keeps_internal_edges_and_props() {
         let mut g = tiny();
-        g.set_vprop(VertexId(1), keys::TIME, 7.0);
+        g.set_metric(VertexId(1), metric::keys::TIME, 7.0);
         let (sub, map) = g.induced_subgraph(&[VertexId(1), VertexId(2)]);
         assert_eq!(sub.num_vertices(), 2);
         assert_eq!(sub.num_edges(), 1); // loop_1 → MPI_Send survives

@@ -48,7 +48,8 @@ pub enum MetricKind {
     /// Scalar floating-point measurement.
     F64,
     /// Scalar integer counter (stored as `f64`, surfaced as
-    /// [`PropValue::Int`](crate::PropValue::Int) by the compat shim).
+    /// [`PropValue::Int`](crate::PropValue::Int) by the by-name read
+    /// [`Pag::vprop`](crate::Pag::vprop)).
     I64,
     /// Dense per-process / per-sample vector.
     VecF64,
@@ -211,8 +212,8 @@ impl KeyTable {
 pub struct ScalarCol {
     data: Vec<f64>,
     present: Vec<u64>,
-    /// True if this column holds an integer-kinded metric; the compat shim
-    /// then surfaces values as [`PropValue::Int`](crate::PropValue::Int).
+    /// True if this column holds an integer-kinded metric; the by-name
+    /// read then surfaces values as [`PropValue::Int`](crate::PropValue::Int).
     pub is_int: bool,
 }
 

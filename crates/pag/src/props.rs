@@ -140,11 +140,6 @@ impl From<&str> for PropValue {
         PropValue::Str(Arc::from(v))
     }
 }
-impl From<String> for PropValue {
-    fn from(v: String) -> Self {
-        PropValue::Str(Arc::from(v.as_str()))
-    }
-}
 impl From<Arc<str>> for PropValue {
     fn from(v: Arc<str>) -> Self {
         PropValue::Str(v)

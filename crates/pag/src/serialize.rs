@@ -6,21 +6,17 @@
 //! table so that parallel views — where every process replicates the same
 //! vertex names — stay compact.
 //!
-//! Two wire formats exist:
+//! The wire format is **`PAG2`**: vertex/edge records carry only labels,
+//! names and string properties; numeric metrics are written as *columnar
+//! sections* mirroring the in-memory [`MetricColumns`] layout — per key: a
+//! presence bitmap plus the packed present values. Sparse metrics therefore
+//! cost one bit per absent row instead of a keyed entry per vertex.
 //!
-//! * **`PAG2`** (current, written by [`encode`]): vertex/edge records carry
-//!   only labels, names and string properties; numeric metrics are written
-//!   as *columnar sections* mirroring the in-memory [`MetricColumns`]
-//!   layout — per key: a presence bitmap plus the packed present values.
-//!   Sparse metrics therefore cost one bit per absent row instead of a
-//!   keyed entry per vertex.
-//! * **`PAG1`** (legacy, written by [`encode_v1`]): every vertex/edge
-//!   carries a full key→value property list. [`decode`] accepts both magics
-//!   so snapshots written before the columnar storage landed keep loading.
-//!
-//! Both decode paths reject input with bytes left over after a well-formed
+//! [`decode`] rejects input with bytes left over after a well-formed
 //! payload ([`DecodeError::TrailingBytes`]) so torn or concatenated
-//! snapshots fail loudly instead of silently dropping data.
+//! snapshots fail loudly instead of silently dropping data. Length prefixes
+//! are never trusted for pre-allocation: every reservation is capped by
+//! what the remaining bytes could actually hold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,13 +28,12 @@ use crate::metric::{KeyId, MetricColumns};
 use crate::props::{PropMap, PropValue};
 use crate::ViewKind;
 
-const MAGIC_V1: &[u8; 4] = b"PAG1";
-const MAGIC_V2: &[u8; 4] = b"PAG2";
+const MAGIC: &[u8; 4] = b"PAG2";
 
 /// Errors produced while decoding a serialized PAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Input does not start with the `PAG1`/`PAG2` magic.
+    /// Input does not start with the `PAG2` magic.
     BadMagic,
     /// Input ended before the structure was complete.
     Truncated,
@@ -98,24 +93,25 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn intern(&mut self, s: &Arc<str>) -> u32 {
+    fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.string_ids.get(s) {
             return id;
         }
         let id = self.strings.len() as u32;
-        self.strings.push(Arc::clone(s));
-        self.string_ids.insert(Arc::clone(s), id);
+        let s: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&s));
+        self.string_ids.insert(s, id);
         id
     }
 
-    fn str_ref(&mut self, s: &Arc<str>) {
+    fn str_ref(&mut self, s: &str) {
         let id = self.intern(s);
         self.u32(id);
     }
 
-    fn props(&mut self, entries: &[(Arc<str>, PropValue)]) {
-        self.u32(entries.len() as u32);
-        for (k, v) in entries {
+    fn props(&mut self, map: &PropMap) {
+        self.u32(map.len() as u32);
+        for (k, v) in map.iter() {
             self.str_ref(k);
             match v {
                 PropValue::Int(i) => {
@@ -153,8 +149,7 @@ impl Encoder {
         });
         self.u32(scalars.len() as u32);
         for (k, is_int, vs) in scalars {
-            let name: Arc<str> = Arc::from(pag.key_name(k));
-            self.str_ref(&name);
+            self.str_ref(pag.key_name(k));
             self.u8(is_int as u8);
             let rows_used = vs.last().map(|&(r, _)| r + 1).unwrap_or(0);
             self.u32(rows_used);
@@ -175,8 +170,7 @@ impl Encoder {
         });
         self.u32(vecs.len() as u32);
         for (k, vs) in vecs {
-            let name: Arc<str> = Arc::from(pag.key_name(k));
-            self.str_ref(&name);
+            self.str_ref(pag.key_name(k));
             self.u32(vs.len() as u32);
             for (r, xs) in vs {
                 self.u32(r);
@@ -188,9 +182,9 @@ impl Encoder {
         }
     }
 
-    fn assemble(self, magic: &[u8; 4]) -> Vec<u8> {
+    fn assemble(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.buf.len() + 1024);
-        out.extend_from_slice(magic);
+        out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.strings.len() as u32).to_le_bytes());
         for s in &self.strings {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -199,10 +193,6 @@ impl Encoder {
         out.extend_from_slice(&self.buf);
         out
     }
-}
-
-fn propmap_entries(p: &PropMap) -> Vec<(Arc<str>, PropValue)> {
-    p.iter().map(|(k, v)| (Arc::from(k), v.clone())).collect()
 }
 
 fn vertex_label_tag(l: VertexLabel) -> u8 {
@@ -265,13 +255,14 @@ fn edge_label_from_tag(t: u8) -> Result<EdgeLabel, DecodeError> {
     })
 }
 
-fn encode_header(enc: &mut Encoder, pag: &Pag) {
+/// Serialize a PAG into the `PAG2` (columnar) wire format.
+pub fn encode(pag: &Pag) -> Vec<u8> {
+    let mut enc = Encoder::new();
     enc.u8(match pag.view() {
         ViewKind::TopDown => 0,
         ViewKind::Parallel => 1,
     });
-    let name: Arc<str> = Arc::from(pag.name());
-    enc.str_ref(&name);
+    enc.str_ref(pag.name());
     enc.u32(pag.num_procs());
     enc.u32(pag.threads_per_proc());
     match pag.root() {
@@ -281,19 +272,12 @@ fn encode_header(enc: &mut Encoder, pag: &Pag) {
         }
         None => enc.u8(0),
     }
-}
-
-/// Serialize a PAG into the current (`PAG2`, columnar) wire format.
-pub fn encode(pag: &Pag) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_header(&mut enc, pag);
     enc.u32(pag.num_vertices() as u32);
     for v in pag.vertex_ids() {
         let data: &VertexData = pag.vertex(v);
         enc.u8(vertex_label_tag(data.label));
-        let n = Arc::clone(&data.name);
-        enc.str_ref(&n);
-        enc.props(&propmap_entries(&data.sprops));
+        enc.str_ref(&data.name);
+        enc.props(&data.sprops);
     }
     enc.u32(pag.num_edges() as u32);
     for e in pag.edge_ids() {
@@ -301,37 +285,11 @@ pub fn encode(pag: &Pag) -> Vec<u8> {
         enc.u32(data.src.0);
         enc.u32(data.dst.0);
         enc.u8(edge_label_tag(data.label));
-        enc.props(&propmap_entries(&data.sprops));
+        enc.props(&data.sprops);
     }
     enc.columns(pag, pag.vmetric_columns());
     enc.columns(pag, pag.emetric_columns());
-    enc.assemble(MAGIC_V2)
-}
-
-/// Serialize a PAG into the legacy `PAG1` wire format (full per-vertex
-/// property lists, metrics merged back in). Kept for compatibility tests
-/// and for producing snapshots older readers can load; byte-identical to
-/// what the pre-columnar encoder produced for the same logical graph.
-pub fn encode_v1(pag: &Pag) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_header(&mut enc, pag);
-    enc.u32(pag.num_vertices() as u32);
-    for v in pag.vertex_ids() {
-        let data: &VertexData = pag.vertex(v);
-        enc.u8(vertex_label_tag(data.label));
-        let n = Arc::clone(&data.name);
-        enc.str_ref(&n);
-        enc.props(&pag.prop_entries(v));
-    }
-    enc.u32(pag.num_edges() as u32);
-    for e in pag.edge_ids() {
-        let data: &EdgeData = pag.edge(e);
-        enc.u32(data.src.0);
-        enc.u32(data.dst.0);
-        enc.u8(edge_label_tag(data.label));
-        enc.props(&pag.eprop_entries(e));
-    }
-    enc.assemble(MAGIC_V1)
+    enc.assemble()
 }
 
 // ---------------------------------------------------------------- decoding
@@ -343,8 +301,12 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(DecodeError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -377,19 +339,24 @@ impl<'a> Decoder<'a> {
                 0 => PropValue::Int(self.u64()? as i64),
                 1 => PropValue::Float(self.f64()?),
                 2 => PropValue::Str(self.str_ref()?),
-                3 => {
-                    let len = self.u32()? as usize;
-                    let mut xs = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        xs.push(self.f64()?);
-                    }
-                    PropValue::VecF64(Arc::from(xs.into_boxed_slice()))
-                }
+                3 => PropValue::VecF64(self.f64_vec()?),
                 t => return Err(DecodeError::BadTag(t)),
             };
             map.set(&key, value);
         }
         Ok(map)
+    }
+
+    /// A length-prefixed `f64` vector. The reservation is capped by what
+    /// the remaining input can hold, so a hostile length prefix cannot
+    /// force a huge allocation before the truncation is noticed.
+    fn f64_vec(&mut self) -> Result<Arc<[f64]>, DecodeError> {
+        let len = self.u32()? as usize;
+        let mut xs = Vec::with_capacity(len.min(self.remaining() / 8));
+        for _ in 0..len {
+            xs.push(self.f64()?);
+        }
+        Ok(Arc::from(xs.into_boxed_slice()))
     }
 
     fn string_table(&mut self) -> Result<(), DecodeError> {
@@ -440,12 +407,7 @@ impl<'a> Decoder<'a> {
                 if row >= rows {
                     return Err(DecodeError::BadIndex);
                 }
-                let len = self.u32()? as usize;
-                let mut xs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    xs.push(self.f64()?);
-                }
-                let xs: Arc<[f64]> = Arc::from(xs.into_boxed_slice());
+                let xs = self.f64_vec()?;
                 if edges {
                     pag.emetrics_mut().set_vec(key, row, xs);
                 } else {
@@ -457,14 +419,12 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Deserialize a PAG from bytes produced by [`encode`] (`PAG2`) or by the
-/// legacy [`encode_v1`] (`PAG1`). Rejects trailing bytes.
+/// Deserialize a PAG from bytes produced by [`encode`]. Rejects any other
+/// magic and trailing bytes.
 pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
-    let v2 = match bytes.get(..4) {
-        Some(m) if m == MAGIC_V2 => true,
-        Some(m) if m == MAGIC_V1 => false,
-        _ => return Err(DecodeError::BadMagic),
-    };
+    if bytes.get(..4) != Some(&MAGIC[..]) {
+        return Err(DecodeError::BadMagic);
+    }
     let mut dec = Decoder {
         buf: bytes,
         pos: 4,
@@ -486,24 +446,16 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         t => return Err(DecodeError::BadTag(t)),
     };
 
+    // A vertex record is at least 9 bytes (tag, name ref, property count).
     let nv = dec.u32()? as usize;
-    let mut pag = Pag::with_capacity(view, name.as_ref(), nv, 0);
+    let mut pag = Pag::with_capacity(view, name.as_ref(), nv.min(dec.remaining() / 9), 0);
     pag.set_num_procs(num_procs);
     pag.set_threads_per_proc(threads);
     for _ in 0..nv {
         let label = vertex_label_from_tag(dec.u8()?)?;
         let vname = dec.str_ref()?;
         let v = pag.add_vertex(label, vname);
-        let props = dec.props()?;
-        if v2 {
-            pag.vertex_mut(v).sprops = props;
-        } else {
-            // Legacy payload: metrics live in the property list — route
-            // them through the shim into the columns.
-            for (k, value) in props.iter() {
-                pag.set_vprop(v, k, value.clone());
-            }
-        }
+        pag.vertex_mut(v).sprops = dec.props()?;
     }
     let ne = dec.u32()? as usize;
     for _ in 0..ne {
@@ -514,19 +466,10 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         }
         let label = edge_label_from_tag(dec.u8()?)?;
         let e: EdgeId = pag.add_edge(src, dst, label);
-        let props = dec.props()?;
-        if v2 {
-            pag.edge_mut(e).sprops = props;
-        } else {
-            for (k, value) in props.iter() {
-                pag.set_eprop(e, k, value.clone());
-            }
-        }
+        pag.edge_mut(e).sprops = dec.props()?;
     }
-    if v2 {
-        dec.columns(&mut pag, false, nv)?;
-        dec.columns(&mut pag, true, ne)?;
-    }
+    dec.columns(&mut pag, false, nv)?;
+    dec.columns(&mut pag, true, ne)?;
     if let Some(r) = root {
         if r.index() >= nv {
             return Err(DecodeError::BadIndex);
@@ -547,6 +490,7 @@ pub fn space_cost(pag: &Pag) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mkeys;
     use crate::props::keys;
 
     fn sample() -> Pag {
@@ -557,11 +501,11 @@ mod tests {
         let b = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Send");
         let e = g.add_edge(a, b, EdgeLabel::InterProcess(CommKind::P2pSync));
         g.set_root(a);
-        g.set_vprop(a, keys::TIME, 3.25);
-        g.set_vprop(a, keys::COUNT, 7i64);
-        g.set_vprop(b, keys::DEBUG_INFO, "main.c:42");
-        g.set_vprop(b, keys::TIME_PER_PROC, vec![1.0, 2.0, 3.0, 4.0]);
-        g.set_eprop(e, keys::COMM_BYTES, 4096i64);
+        g.set_metric(a, mkeys::TIME, 3.25);
+        g.set_metric_i64(a, mkeys::COUNT, 7);
+        g.set_vstr(b, keys::DEBUG_INFO, "main.c:42");
+        g.set_metric_vec(b, mkeys::TIME_PER_PROC, vec![1.0, 2.0, 3.0, 4.0]);
+        g.set_emetric_i64(e, mkeys::COMM_BYTES, 4096);
         g
     }
 
@@ -579,96 +523,71 @@ mod tests {
             VertexLabel::Call(CallKind::Comm)
         );
         assert_eq!(h.vertex_time(VertexId(0)), 3.25);
-        assert_eq!(h.vprop(VertexId(0), keys::COUNT).unwrap().as_i64(), Some(7));
+        assert_eq!(h.metric_i64(VertexId(0), mkeys::COUNT), Some(7));
+        assert_eq!(h.vstr(VertexId(1), keys::DEBUG_INFO), Some("main.c:42"));
         assert_eq!(
-            h.vprop(VertexId(1), keys::DEBUG_INFO).unwrap().as_str(),
-            Some("main.c:42")
-        );
-        assert_eq!(
-            h.vprop(VertexId(1), keys::TIME_PER_PROC)
-                .unwrap()
-                .as_f64_slice(),
+            h.metric_vec(VertexId(1), mkeys::TIME_PER_PROC),
             Some(&[1.0, 2.0, 3.0, 4.0][..])
         );
         let e = h.edge(EdgeId(0));
         assert_eq!(e.label, EdgeLabel::InterProcess(CommKind::P2pSync));
-        assert_eq!(
-            h.eprop(EdgeId(0), keys::COMM_BYTES).unwrap().as_i64(),
-            Some(4096)
-        );
+        assert_eq!(h.emetric_i64(EdgeId(0), mkeys::COMM_BYTES), Some(4096));
     }
 
     #[test]
     fn roundtrip_preserves_everything() {
         let g = sample();
         let bytes = encode(&g);
-        assert_eq!(&bytes[..4], MAGIC_V2);
+        assert_eq!(&bytes[..4], MAGIC);
         check_sample(&decode(&bytes).unwrap());
-    }
-
-    #[test]
-    fn v1_roundtrip_preserves_everything() {
-        let g = sample();
-        let bytes = encode_v1(&g);
-        assert_eq!(&bytes[..4], MAGIC_V1);
-        check_sample(&decode(&bytes).unwrap());
-    }
-
-    #[test]
-    fn v1_and_v2_decode_to_same_graph() {
-        let g = sample();
-        let via_v1 = decode(&encode_v1(&g)).unwrap();
-        let via_v2 = decode(&encode(&g)).unwrap();
-        // Same logical content → same canonical v1 bytes.
-        assert_eq!(encode_v1(&via_v1), encode_v1(&via_v2));
     }
 
     #[test]
     fn nan_and_inf_survive_both_formats() {
+        // Both column formats: scalar columns and vector columns.
         let mut g = Pag::new(ViewKind::TopDown, "nan");
         let v = g.add_vertex(VertexLabel::Compute, "k");
-        g.set_vprop(v, keys::TIME, f64::NAN);
-        g.set_vprop(v, keys::WAIT_TIME, f64::NEG_INFINITY);
-        g.set_vprop(v, keys::TIME_PER_PROC, vec![f64::INFINITY, f64::NAN]);
-        for bytes in [encode(&g), encode_v1(&g)] {
-            let h = decode(&bytes).unwrap();
-            assert!(h.vertex_time(VertexId(0)).is_nan());
-            assert_eq!(
-                h.vprop(VertexId(0), keys::WAIT_TIME).unwrap().as_f64(),
-                Some(f64::NEG_INFINITY)
-            );
-            let xs = h.vprop(VertexId(0), keys::TIME_PER_PROC).unwrap();
-            let xs = xs.as_f64_slice().unwrap();
-            assert_eq!(xs[0], f64::INFINITY);
-            assert!(xs[1].is_nan());
-        }
+        g.set_metric(v, mkeys::TIME, f64::NAN);
+        g.set_metric(v, mkeys::WAIT_TIME, f64::NEG_INFINITY);
+        g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec![f64::INFINITY, f64::NAN]);
+        let h = decode(&encode(&g)).unwrap();
+        assert!(h.vertex_time(VertexId(0)).is_nan());
+        assert_eq!(
+            h.metric(VertexId(0), mkeys::WAIT_TIME),
+            Some(f64::NEG_INFINITY)
+        );
+        let xs = h.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
+        assert_eq!(xs[0], f64::INFINITY);
+        assert!(xs[1].is_nan());
     }
 
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(decode(b"nope"), Err(DecodeError::BadMagic)));
         assert!(matches!(decode(b""), Err(DecodeError::BadMagic)));
+        // The retired row-wise `PAG1` format is just another bad magic.
+        let mut pag1 = encode(&sample());
+        pag1[..4].copy_from_slice(b"PAG1");
+        assert!(matches!(decode(&pag1), Err(DecodeError::BadMagic)));
     }
 
     #[test]
     fn truncation_rejected() {
-        for bytes in [encode(&sample()), encode_v1(&sample())] {
-            for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
-                let err = decode(&bytes[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::Truncated | DecodeError::BadIndex),
-                    "cut at {cut} gave {err:?}"
-                );
-            }
+        let bytes = encode(&sample());
+        for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
+            let err = decode(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Truncated | DecodeError::BadIndex),
+                "cut at {cut} gave {err:?}"
+            );
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        for mut bytes in [encode(&sample()), encode_v1(&sample())] {
-            bytes.push(0);
-            assert!(matches!(decode(&bytes), Err(DecodeError::TrailingBytes)));
-        }
+        let mut bytes = encode(&sample());
+        bytes.push(0);
+        assert!(matches!(decode(&bytes), Err(DecodeError::TrailingBytes)));
         // Two concatenated snapshots are not one snapshot.
         let mut twice = encode(&sample());
         twice.extend_from_slice(&encode(&sample()));
@@ -692,30 +611,11 @@ mod tests {
     }
 
     #[test]
-    fn columnar_beats_v1_on_dense_metrics() {
-        // A parallel-view-shaped graph where every vertex carries the same
-        // four metrics: v2 stores four columns instead of 4N keyed entries.
-        let mut g = Pag::new(ViewKind::Parallel, "dense");
-        for i in 0..500 {
-            let v = g.add_vertex(VertexLabel::Compute, "work");
-            g.set_vprop(v, keys::TIME, i as f64);
-            g.set_vprop(v, keys::SELF_TIME, i as f64 * 0.5);
-            g.set_vprop(v, keys::COUNT, i as i64);
-            g.set_vprop(v, keys::PROC, (i % 8) as i64);
-        }
-        let v2 = encode(&g).len();
-        let v1 = encode_v1(&g).len();
-        assert!(v2 < v1, "columnar {v2} >= row-wise {v1}");
-    }
-
-    #[test]
     fn empty_graph_roundtrips() {
         let g = Pag::new(ViewKind::TopDown, "empty");
         let h = decode(&encode(&g)).unwrap();
         assert_eq!(h.num_vertices(), 0);
         assert_eq!(h.num_edges(), 0);
         assert_eq!(h.root(), None);
-        let h1 = decode(&encode_v1(&g)).unwrap();
-        assert_eq!(h1.num_vertices(), 0);
     }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pag::{
-    graph::glob_match, keys, CallKind, CommKind, EdgeLabel, Pag, VertexId, VertexLabel,
+    graph::glob_match, mkeys, CallKind, CommKind, EdgeLabel, Pag, VertexId, VertexLabel,
     VertexStats, ViewKind,
 };
 
@@ -62,16 +62,64 @@ fn build(spec: &GraphSpec) -> Pag {
     let mut g = Pag::new(ViewKind::Parallel, "prop-graph");
     for (label, name, time, vec) in &spec.vertices {
         let v = g.add_vertex(*label, name.as_str());
-        g.set_vprop(v, keys::TIME, *time);
+        g.set_metric(v, mkeys::TIME, *time);
         if let Some(vec) = vec {
-            g.set_vprop(v, keys::TIME_PER_PROC, vec.clone());
+            g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec.clone());
         }
     }
     for (a, b, label, bytes) in &spec.edges {
         let e = g.add_edge(VertexId(*a as u32), VertexId(*b as u32), *label);
-        g.set_eprop(e, keys::COMM_BYTES, *bytes);
+        g.set_emetric_i64(e, mkeys::COMM_BYTES, *bytes);
     }
     g
+}
+
+/// A well-formed `PAG2` prefix (one-string table, top-down header, no
+/// root) followed by `tail`.
+fn pag2_with(tail: &[u8]) -> Vec<u8> {
+    let mut b = b"PAG2".to_vec();
+    b.extend_from_slice(&1u32.to_le_bytes()); // one string…
+    b.extend_from_slice(&1u32.to_le_bytes()); // …of length 1
+    b.push(b'g');
+    b.push(0); // top-down view
+    b.extend_from_slice(&0u32.to_le_bytes()); // name = string 0
+    b.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0]); // procs, threads
+    b.push(0); // no root
+    b.extend_from_slice(tail);
+    b
+}
+
+/// Fixed hostile inputs for the decode-never-panics coverage: length
+/// prefixes far beyond the payload must produce `Err`, not an attempt to
+/// pre-allocate what they claim.
+#[test]
+fn decode_never_panics_on_hostile_length_prefixes() {
+    // 31 bytes declaring u32::MAX vertices.
+    let huge_nv = pag2_with(&u32::MAX.to_le_bytes());
+    assert_eq!(huge_nv.len(), 31);
+    assert!(pag::serialize::decode(&huge_nv).is_err());
+    // One vertex whose vector property claims u32::MAX floats.
+    let mut vertex = 1u32.to_le_bytes().to_vec();
+    vertex.push(4); // compute
+    vertex.extend_from_slice(&0u32.to_le_bytes()); // name
+    vertex.extend_from_slice(&1u32.to_le_bytes()); // one property
+    vertex.extend_from_slice(&0u32.to_le_bytes()); // key
+    vertex.push(3); // vector tag
+    vertex.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(pag::serialize::decode(&pag2_with(&vertex)).is_err());
+    // A vector metric column entry claiming u32::MAX floats.
+    let mut column = 1u32.to_le_bytes().to_vec();
+    column.push(4);
+    column.extend_from_slice(&0u32.to_le_bytes());
+    column.extend_from_slice(&0u32.to_le_bytes()); // no properties
+    column.extend_from_slice(&0u32.to_le_bytes()); // no edges
+    column.extend_from_slice(&0u32.to_le_bytes()); // no scalar columns
+    column.extend_from_slice(&1u32.to_le_bytes()); // one vector column
+    column.extend_from_slice(&0u32.to_le_bytes()); // key
+    column.extend_from_slice(&1u32.to_le_bytes()); // one entry
+    column.extend_from_slice(&0u32.to_le_bytes()); // row 0
+    column.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(pag::serialize::decode(&pag2_with(&column)).is_err());
 }
 
 proptest! {
@@ -90,8 +138,8 @@ proptest! {
             prop_assert_eq!(h.vertex(v).label, g.vertex(v).label);
             prop_assert_eq!(h.vertex_name(v), g.vertex_name(v));
             prop_assert_eq!(h.vertex_time(v), g.vertex_time(v));
-            let a = g.metric_vec(v, pag::mkeys::TIME_PER_PROC);
-            let b = h.metric_vec(v, pag::mkeys::TIME_PER_PROC);
+            let a = g.metric_vec(v, mkeys::TIME_PER_PROC);
+            let b = h.metric_vec(v, mkeys::TIME_PER_PROC);
             prop_assert_eq!(a, b);
         }
         for e in g.edge_ids() {

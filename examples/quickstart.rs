@@ -63,9 +63,9 @@ fn main() {
     // 5. Read metrics through the typed accessors. Metric keys are
     //    interned `KeyId`s (re-exported as `perflow::mkeys`), so the hot
     //    path never hashes a string — `metric_f64` is an O(1) column
-    //    lookup. Prefer this over the old stringly
-    //    `vprop(v, "time")`-style access, which survives only as a
-    //    compatibility shim.
+    //    lookup. Metrics are written the same way (`set_metric`,
+    //    `set_metric_i64`, `set_metric_vec`); a key that is not one of the
+    //    well-known ones is interned once with `intern_key`.
     let total: f64 = td
         .vertex_ids()
         .map(|v| td.metric_f64(v, perflow::mkeys::SELF_TIME))

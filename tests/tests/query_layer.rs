@@ -33,7 +33,7 @@ fn hostile_name() -> impl Strategy<Value = String> {
 }
 
 fn field() -> impl Strategy<Value = Field> {
-    (hostile_name(), any::<bool>()).prop_map(|(name, shim)| Field { name, shim })
+    hostile_name().prop_map(Field::named)
 }
 
 fn cmp_op() -> impl Strategy<Value = CmpOp> {
