@@ -100,26 +100,10 @@ impl PropValue {
         }
     }
 
-    /// Interpret the value as `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            PropValue::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Interpret the value as a string slice if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             PropValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a float slice if it is a vector.
-    pub fn as_f64_slice(&self) -> Option<&[f64]> {
-        match self {
-            PropValue::VecF64(v) => Some(v),
             _ => None,
         }
     }
@@ -218,23 +202,6 @@ impl PropMap {
             .map(|i| self.entries.remove(i).1)
     }
 
-    /// Numeric lookup: `0.0` if absent or non-numeric.
-    pub fn get_f64(&self, key: &str) -> f64 {
-        self.get(key).and_then(PropValue::as_f64).unwrap_or(0.0)
-    }
-
-    /// Add `delta` to a float property (creating it if absent).
-    pub fn add_f64(&mut self, key: &str, delta: f64) {
-        let cur = self.get_f64(key);
-        self.set(key, cur + delta);
-    }
-
-    /// Add `delta` to an integer property (creating it if absent).
-    pub fn add_i64(&mut self, key: &str, delta: i64) {
-        let cur = self.get(key).and_then(PropValue::as_i64).unwrap_or(0);
-        self.set(key, cur + delta);
-    }
-
     /// Iterate over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue)> {
         self.entries.iter().map(|(k, v)| (k.as_ref(), v))
@@ -253,22 +220,12 @@ mod tests {
         p.set(keys::NAME, "foo");
         p.set(keys::COUNT, 3i64);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.get_f64(keys::TIME), 1.5);
+        assert_eq!(p.get(keys::TIME), Some(&PropValue::Float(1.5)));
         assert_eq!(p.get(keys::NAME).unwrap().as_str(), Some("foo"));
+        assert_eq!(p.get(keys::COUNT).unwrap().as_f64(), Some(3.0));
         p.set(keys::TIME, 2.0);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.get_f64(keys::TIME), 2.0);
-    }
-
-    #[test]
-    fn accumulate_helpers() {
-        let mut p = PropMap::new();
-        p.add_f64(keys::TIME, 0.5);
-        p.add_f64(keys::TIME, 0.25);
-        assert!((p.get_f64(keys::TIME) - 0.75).abs() < 1e-12);
-        p.add_i64(keys::COUNT, 1);
-        p.add_i64(keys::COUNT, 2);
-        assert_eq!(p.get(keys::COUNT).unwrap().as_i64(), Some(3));
+        assert_eq!(p.get(keys::TIME), Some(&PropValue::Float(2.0)));
     }
 
     #[test]
@@ -277,7 +234,7 @@ mod tests {
         p.set("x", 1.0);
         assert!(p.remove("x").is_some());
         assert!(p.remove("x").is_none());
-        assert_eq!(p.get_f64("x"), 0.0);
+        assert!(p.get("x").is_none());
         assert!(p.get("nope").is_none());
     }
 
@@ -285,8 +242,10 @@ mod tests {
     fn vector_values_roundtrip() {
         let mut p = PropMap::new();
         p.set(keys::TIME_PER_PROC, vec![1.0, 2.0, 3.0]);
-        let v = p.get(keys::TIME_PER_PROC).unwrap().as_f64_slice().unwrap();
-        assert_eq!(v, &[1.0, 2.0, 3.0]);
+        assert_eq!(
+            p.get(keys::TIME_PER_PROC),
+            Some(&PropValue::from(vec![1.0, 2.0, 3.0]))
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! iteration stack, scale parameters and a run seed for deterministic
 //! noise.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use crate::fxhash::FxHashMap;
 
 /// Evaluation context for an [`Expr`].
 #[derive(Debug, Clone)]
@@ -25,7 +26,7 @@ pub struct EvalCtx<'a> {
     /// Innermost-last stack of current loop iteration indices.
     pub iters: &'a [u64],
     /// Named scale parameters (problem size, class, …).
-    pub params: &'a HashMap<String, f64>,
+    pub params: &'a FxHashMap<String, f64>,
     /// Run seed; all noise is a pure function of (seed, salt, rank,
     /// thread, iters).
     pub seed: u64,
@@ -310,7 +311,7 @@ impl_binop!(Div, div, Div);
 mod tests {
     use super::*;
 
-    fn ctx<'a>(params: &'a HashMap<String, f64>, iters: &'a [u64]) -> EvalCtx<'a> {
+    fn ctx<'a>(params: &'a FxHashMap<String, f64>, iters: &'a [u64]) -> EvalCtx<'a> {
         EvalCtx {
             rank: 3,
             nranks: 8,
@@ -324,7 +325,7 @@ mod tests {
 
     #[test]
     fn basic_arithmetic() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let cx = ctx(&p, &[]);
         assert_eq!((c(2.0) + c(3.0)).eval(&cx), 5.0);
         assert_eq!((c(2.0) * c(3.0) - c(1.0)).eval(&cx), 5.0);
@@ -336,7 +337,7 @@ mod tests {
 
     #[test]
     fn context_variables() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let cx = ctx(&p, &[5, 9]);
         assert_eq!(rank().eval(&cx), 3.0);
         assert_eq!(nranks().eval(&cx), 8.0);
@@ -349,7 +350,7 @@ mod tests {
 
     #[test]
     fn params_default_zero() {
-        let mut p = HashMap::new();
+        let mut p = FxHashMap::default();
         p.insert("n".to_string(), 256.0);
         let cx = ctx(&p, &[]);
         assert_eq!(param("n").eval(&cx), 256.0);
@@ -358,7 +359,7 @@ mod tests {
 
     #[test]
     fn comparisons_and_select() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let cx = ctx(&p, &[]);
         // rank = 3 < 4 → heavy branch
         let e = rank().lt(4.0).select(c(100.0), c(10.0));
@@ -370,7 +371,7 @@ mod tests {
 
     #[test]
     fn min_max_floor_log() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let cx = ctx(&p, &[]);
         assert_eq!(c(3.0).min(5.0).eval(&cx), 3.0);
         assert_eq!(c(3.0).max(5.0).eval(&cx), 5.0);
@@ -383,7 +384,7 @@ mod tests {
 
     #[test]
     fn noise_is_deterministic_and_bounded() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let its = [2u64];
         let cx = ctx(&p, &its);
         let n = noise(0.1, 7);
@@ -395,7 +396,7 @@ mod tests {
 
     #[test]
     fn noise_varies_with_rank_and_iter() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let n = noise(0.1, 7);
         let mut values = std::collections::HashSet::new();
         for r in 0..16u32 {
@@ -422,7 +423,7 @@ mod tests {
 
     #[test]
     fn eval_u64_clamps_and_rounds() {
-        let p = HashMap::new();
+        let p = FxHashMap::default();
         let cx = ctx(&p, &[]);
         assert_eq!(c(3.6).eval_u64(&cx), 4);
         assert_eq!(c(-5.0).eval_u64(&cx), 0);

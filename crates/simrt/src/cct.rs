@@ -7,9 +7,7 @@
 //! performance-data embedding (§3.3) later resolves a context to the PAG
 //! vertices along its path.
 
-use std::collections::HashMap;
-
-use progmodel::{FuncId, StmtId};
+use progmodel::{FuncId, FxHashMap, StmtId};
 
 /// Interned calling-context id. `CtxId(0)` is the root (program entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,7 +34,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Cct {
     nodes: Vec<Node>,
-    intern: HashMap<(CtxId, CtxFrame), CtxId>,
+    intern: FxHashMap<(CtxId, CtxFrame), CtxId>,
 }
 
 impl Cct {
@@ -48,7 +46,7 @@ impl Cct {
                 frame: CtxFrame::Func(entry),
                 depth: 0,
             }],
-            intern: HashMap::new(),
+            intern: FxHashMap::default(),
         }
     }
 

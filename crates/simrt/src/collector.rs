@@ -8,7 +8,7 @@
 //! immediately — the overhead experiments (Table 1) measure precisely the
 //! cost difference these paths introduce.
 
-use progmodel::{FuncId, PmuSpec, StmtId};
+use progmodel::{FuncId, FxHashMap, PmuSpec, StmtId};
 
 use crate::cct::{Cct, CtxId};
 use crate::config::CollectionConfig;
@@ -51,8 +51,8 @@ impl Collector {
                 elapsed: vec![0.0; nranks as usize],
                 total_time: 0.0,
                 sample_period_us: cfg.sampling_period_us,
-                samples: std::collections::HashMap::new(),
-                pmu: std::collections::HashMap::new(),
+                samples: FxHashMap::default(),
+                pmu: FxHashMap::default(),
                 comm_records: Vec::new(),
                 msg_edges: Vec::new(),
                 lock_records: Vec::new(),
@@ -60,7 +60,7 @@ impl Collector {
                 cct: Cct::new(entry),
                 trace: TraceData::default(),
                 rank_status: vec![RankStatus::Completed; nranks as usize],
-                dropped_samples: std::collections::HashMap::new(),
+                dropped_samples: FxHashMap::default(),
                 pmu_corrupted: 0,
                 retransmits: 0,
             },

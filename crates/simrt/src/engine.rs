@@ -29,7 +29,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use progmodel::{CallTarget, CommOp, EvalCtx, Program, Stmt, StmtId, StmtKind};
+use progmodel::{CallTarget, CommOp, EvalCtx, FxHashMap, Program, Stmt, StmtId, StmtKind};
 
 use crate::cct::{CtxFrame, CtxId};
 use crate::collector::{merge_shards, Collector};
@@ -55,8 +55,12 @@ pub fn simulate(prog: &Program, cfg: &RunConfig) -> Result<RunData, SimError> {
     // Span measures host wall-clock only; the simulation's virtual clocks
     // and all collected data are unaffected by observation.
     let _span = cfg.obs.span(obs::Layer::Simrt, "simulate", 0);
-    let mut params = prog.default_params.clone();
-    params.extend(cfg.params.iter().map(|(k, v)| (k.clone(), *v)));
+    let params: FxHashMap<String, f64> = prog
+        .default_params
+        .iter()
+        .chain(&cfg.params)
+        .map(|(k, v)| (k.clone(), *v))
+        .collect();
     let mut engine = Engine::new(prog, cfg, params);
     engine.run()?;
     Ok(engine.finish())
@@ -80,8 +84,14 @@ struct Req {
 
 #[derive(Debug)]
 enum FrameKind {
+    /// The entry function's body or a taken branch body.
     Body,
-    Loop { trips: u64, cur: u64 },
+    /// A called function's body; only these count toward `call_depth`.
+    Call,
+    Loop {
+        trips: u64,
+        cur: u64,
+    },
 }
 
 #[derive(Debug)]
@@ -89,6 +99,9 @@ struct Frame<'p> {
     stmts: &'p [Stmt],
     idx: usize,
     ctx: CtxId,
+    /// Start of this frame's `stmts.len()` child-context slots in
+    /// [`RankState::slots`].
+    slots: usize,
     kind: FrameKind,
 }
 
@@ -168,6 +181,11 @@ struct RankState<'p> {
     rank: u32,
     clock: f64,
     frames: Vec<Frame<'p>>,
+    /// Per-statement child contexts of every live frame, stacked like
+    /// `frames` and filled on a statement's first visit, so a loop body
+    /// interns its contexts once rather than once per trip. Interning
+    /// still happens at first visit, so CCT ids keep first-visit order.
+    slots: Vec<Option<CtxId>>,
     iters: Vec<u64>,
     reqs: Vec<Req>,
     outstanding: Vec<usize>,
@@ -176,6 +194,28 @@ struct RankState<'p> {
     done: bool,
     call_depth: usize,
     health: Health,
+}
+
+impl<'p> RankState<'p> {
+    /// Enter `stmts` under context `ctx`, with empty child-context slots.
+    fn push_frame(&mut self, stmts: &'p [Stmt], ctx: CtxId, kind: FrameKind) {
+        let slots = self.slots.len();
+        self.slots.resize(slots + stmts.len(), None);
+        self.frames.push(Frame {
+            stmts,
+            idx: 0,
+            ctx,
+            slots,
+            kind,
+        });
+    }
+
+    /// Leave the innermost frame, releasing its slots.
+    fn pop_frame(&mut self) {
+        if let Some(frame) = self.frames.pop() {
+            self.slots.truncate(frame.slots);
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -263,7 +303,7 @@ struct Shared {
 struct Engine<'p> {
     prog: &'p Program,
     cfg: &'p RunConfig,
-    params: HashMap<String, f64>,
+    params: FxHashMap<String, f64>,
     rankctxs: Vec<Mutex<RankCtx<'p>>>,
     shared: Shared,
 }
@@ -283,6 +323,7 @@ fn crash_state(state: &mut RankState<'_>, at: f64) {
     state.clock = at;
     state.blocked = None;
     state.frames.clear();
+    state.slots.clear();
 }
 
 /// Stop a rank from progressing at virtual time `at` without killing it
@@ -331,7 +372,7 @@ fn push_req(
 struct SegCtx<'a, 'p> {
     prog: &'p Program,
     cfg: &'a RunConfig,
-    params: &'a HashMap<String, f64>,
+    params: &'a FxHashMap<String, f64>,
     crashed: &'a [bool],
 }
 
@@ -443,13 +484,14 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 }
                 FrameKind::Loop { .. } => {
                     rc.state.iters.pop();
-                    rc.state.frames.pop();
+                    rc.state.pop_frame();
                 }
                 FrameKind::Body => {
-                    rc.state.frames.pop();
-                    if rc.state.call_depth > 0 {
-                        rc.state.call_depth -= 1;
-                    }
+                    rc.state.pop_frame();
+                }
+                FrameKind::Call => {
+                    rc.state.pop_frame();
+                    rc.state.call_depth -= 1;
                 }
             }
             if rc.state.frames.is_empty() {
@@ -460,8 +502,9 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 
         let frame = rc.state.frames.last().unwrap();
         let stmt: &'p Stmt = &frame.stmts[frame.idx];
-        let parent_ctx = frame.ctx;
-        let ctx = rc.shard.data.cct.child(parent_ctx, CtxFrame::Stmt(stmt.id));
+        let slot = &mut rc.state.slots[frame.slots + frame.idx];
+        let ctx = *slot
+            .get_or_insert_with(|| rc.shard.data.cct.child(frame.ctx, CtxFrame::Stmt(stmt.id)));
 
         match &stmt.kind {
             StmtKind::Compute { cost_us, pmu, .. } => {
@@ -486,12 +529,8 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 if n > 0 {
                     rc.state.iters.push(0);
-                    rc.state.frames.push(Frame {
-                        stmts: body,
-                        idx: 0,
-                        ctx,
-                        kind: FrameKind::Loop { trips: n, cur: 0 },
-                    });
+                    rc.state
+                        .push_frame(body, ctx, FrameKind::Loop { trips: n, cur: 0 });
                 }
                 Ok(StepOutcome::Progress)
             }
@@ -505,12 +544,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 let body = if taken { then_body } else { else_body };
                 if !body.is_empty() {
-                    rc.state.frames.push(Frame {
-                        stmts: body,
-                        idx: 0,
-                        ctx,
-                        kind: FrameKind::Body,
-                    });
+                    rc.state.push_frame(body, ctx, FrameKind::Body);
                 }
                 Ok(StepOutcome::Progress)
             }
@@ -534,12 +568,8 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 let fctx = rc.shard.data.cct.child(ctx, CtxFrame::Func(fid));
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 rc.state.call_depth += 1;
-                rc.state.frames.push(Frame {
-                    stmts: &self.prog.function(fid).body,
-                    idx: 0,
-                    ctx: fctx,
-                    kind: FrameKind::Body,
-                });
+                rc.state
+                    .push_frame(&self.prog.function(fid).body, fctx, FrameKind::Call);
                 Ok(StepOutcome::Progress)
             }
             StmtKind::ThreadRegion { threads, body } => {
@@ -919,7 +949,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 struct Sched<'a, 'p> {
     prog: &'p Program,
     cfg: &'a RunConfig,
-    params: &'a HashMap<String, f64>,
+    params: &'a FxHashMap<String, f64>,
     rankctxs: &'a [Mutex<RankCtx<'p>>],
     shared: &'a mut Shared,
     /// Live crashed set (updated as crashes are discovered; snapshotted
@@ -1697,7 +1727,7 @@ fn worker_loop<'p>(
     ctrl: &PoolCtrl,
     prog: &'p Program,
     cfg: &RunConfig,
-    params: &HashMap<String, f64>,
+    params: &FxHashMap<String, f64>,
 ) {
     let mut generation = 0u64;
     loop {
@@ -1736,7 +1766,7 @@ fn worker_loop<'p>(
 // --------------------------------------------------------------- engine
 
 impl<'p> Engine<'p> {
-    fn new(prog: &'p Program, cfg: &'p RunConfig, params: HashMap<String, f64>) -> Self {
+    fn new(prog: &'p Program, cfg: &'p RunConfig, params: FxHashMap<String, f64>) -> Self {
         let rankctxs = (0..cfg.nranks)
             .map(|rank| {
                 let shard = Collector::new(
@@ -1748,26 +1778,24 @@ impl<'p> Engine<'p> {
                     prog.entry,
                 )
                 .for_rank(rank);
-                let root = shard.data.cct.root();
+                let mut state = RankState {
+                    rank,
+                    clock: 0.0,
+                    frames: Vec::new(),
+                    slots: Vec::new(),
+                    iters: Vec::new(),
+                    reqs: Vec::new(),
+                    outstanding: Vec::new(),
+                    coll_seq: 0,
+                    blocked: None,
+                    done: false,
+                    call_depth: 0,
+                    health: Health::Ok,
+                };
+                let entry = &prog.function(prog.entry).body;
+                state.push_frame(entry, shard.data.cct.root(), FrameKind::Body);
                 Mutex::new(RankCtx {
-                    state: RankState {
-                        rank,
-                        clock: 0.0,
-                        frames: vec![Frame {
-                            stmts: &prog.function(prog.entry).body,
-                            idx: 0,
-                            ctx: root,
-                            kind: FrameKind::Body,
-                        }],
-                        iters: Vec::new(),
-                        reqs: Vec::new(),
-                        outstanding: Vec::new(),
-                        coll_seq: 0,
-                        blocked: None,
-                        done: false,
-                        call_depth: 0,
-                        health: Health::Ok,
-                    },
+                    state,
                     shard,
                     effects: Vec::new(),
                     error: None,

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use progmodel::{FuncId, StmtId};
+use progmodel::{FuncId, FxHashMap, StmtId};
 
 use crate::cct::{Cct, CtxFrame, CtxId};
 
@@ -246,9 +246,9 @@ pub struct RunData {
     /// Sampling period used (µs), if sampling was on.
     pub sample_period_us: Option<f64>,
     /// Sample counts keyed by (context, rank, thread).
-    pub samples: HashMap<(CtxId, u32, u32), u64>,
+    pub samples: FxHashMap<(CtxId, u32, u32), u64>,
     /// PMU estimates per context (aggregated over ranks).
-    pub pmu: HashMap<CtxId, PmuAgg>,
+    pub pmu: FxHashMap<CtxId, PmuAgg>,
     /// Per-instance communication records.
     pub comm_records: Vec<CommRecord>,
     /// Matched message / dependence edges.
@@ -266,7 +266,7 @@ pub struct RunData {
     /// Samples lost to injected collection faults, keyed like `samples`.
     /// The application's virtual timing already accounts for these
     /// (the handler fired; the record was lost).
-    pub dropped_samples: HashMap<(CtxId, u32, u32), u64>,
+    pub dropped_samples: FxHashMap<(CtxId, u32, u32), u64>,
     /// PMU readings discarded as corrupted.
     pub pmu_corrupted: u64,
     /// Messages dropped and retransmitted by the injected network fault.

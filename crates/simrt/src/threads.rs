@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use progmodel::{CallTarget, EvalCtx, PmuSpec, Program, Stmt, StmtId, StmtKind};
+use progmodel::{CallTarget, EvalCtx, FxHashMap, PmuSpec, Program, Stmt, StmtId, StmtKind};
 
 use crate::cct::{Cct, CtxFrame, CtxId};
 use crate::collector::Collector;
@@ -50,7 +50,7 @@ pub fn run_thread_region(
     rank: u32,
     nranks: u32,
     region_threads: u32,
-    params: &HashMap<String, f64>,
+    params: &FxHashMap<String, f64>,
     seed: u64,
     outer_iters: &[u64],
     compute_slowdown: f64,
@@ -196,7 +196,7 @@ struct ThreadEnv<'p> {
     nranks: u32,
     thread: u32,
     nthreads: u32,
-    params: &'p HashMap<String, f64>,
+    params: &'p FxHashMap<String, f64>,
     seed: u64,
     depth: usize,
     slowdown: f64,

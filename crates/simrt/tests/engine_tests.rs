@@ -465,6 +465,23 @@ fn recursion_guard_trips() {
 }
 
 #[test]
+fn recursion_through_a_branch_trips_the_guard() {
+    // Leaving a branch body must not give back call depth: only call
+    // frames count, or this recursion grows the frame stack forever.
+    let mut pb = ProgramBuilder::new("rec_branch");
+    let main = pb.declare("main", "r.c");
+    pb.define(main, |f| {
+        f.branch("b", c(1.0), |t| t.compute("k", c(1.0)), |_| {});
+        f.call(main);
+    });
+    let prog = pb.build(main);
+    assert!(matches!(
+        simulate(&prog, &RunConfig::new(1)),
+        Err(SimError::StackOverflow { .. })
+    ));
+}
+
+#[test]
 fn barrier_synchronizes_clocks() {
     let mut pb = ProgramBuilder::new("bar");
     let main = pb.declare("main", "b.c");

@@ -54,3 +54,51 @@ fn every_workload_survives_hotspot_and_imbalance_passes() {
         assert!(!report.render().is_empty(), "{name}");
     }
 }
+
+/// `RunData::digest` of every driver workload at 8 ranks × 2 threads,
+/// seed 42, recorded before the interpreter's hash-free statement step
+/// landed. Simulation output must stay bit-identical across engine
+/// changes, serial (`sim_workers` 1) and pooled (2) alike; a deliberate
+/// model change re-records these values and says why.
+const GOLDEN_DIGESTS: &[(&str, u64)] = &[
+    ("bt", 0x24734876cee3d3c8),
+    ("cg", 0xaaa10f3aff866849),
+    ("ep", 0x03b209ad9caaca5b),
+    ("ft", 0xc345a276dd98b324),
+    ("is", 0x15f22db7f89033d0),
+    ("lu", 0xd9d236a8567669b2),
+    ("mg", 0x57fdb1677276de76),
+    ("sp", 0x0d060222815eecfd),
+    ("zeusmp", 0x914aafaae84279d5),
+    ("zeusmp-fixed", 0xfa77614fe552dc1c),
+    ("lammps", 0x25b6b93b9a63c589),
+    ("lammps-balanced", 0xd9a27f7b868a1a16),
+    ("vite", 0xd09ee92034bb3c7b),
+    ("vite-optimized", 0x5a1063d340c111a6),
+];
+
+#[test]
+fn simulation_digests_match_golden_values() {
+    let names: Vec<&str> = GOLDEN_DIGESTS.iter().map(|&(n, _)| n).collect();
+    assert_eq!(
+        names,
+        driver::WORKLOAD_NAMES,
+        "golden table covers every workload"
+    );
+    for &(name, want) in GOLDEN_DIGESTS {
+        let prog = driver::workload(name).unwrap();
+        for workers in [1, 2] {
+            let cfg = RunConfig::new(8)
+                .with_threads(2)
+                .with_seed(42)
+                .with_sim_workers(workers);
+            let got = simrt::simulate(&prog, &cfg)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .digest();
+            assert_eq!(
+                got, want,
+                "{name} at sim_workers {workers}: digest {got:#018x}, golden {want:#018x}"
+            );
+        }
+    }
+}
