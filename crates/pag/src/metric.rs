@@ -14,7 +14,7 @@
 //! are interned per-PAG starting at [`GLOBAL_KEYS`]`.len()`. String-valued
 //! properties (names, debug info) stay in the per-vertex string `PropMap`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Interned metric key: a dense index into a PAG's metric columns.
@@ -246,11 +246,10 @@ impl ScalarCol {
     }
 }
 
-/// One vector metric column.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct VecCol {
-    data: Vec<Option<Arc<[f64]>>>,
-}
+/// One vector metric column, keyed by row. Sparse, so a column costs its
+/// entries, not the row count: a decoded input cannot make each of many
+/// columns span every row.
+type VecCol = BTreeMap<usize, Arc<[f64]>>;
 
 /// A structural fault in the columnar store, found by
 /// [`MetricColumns::audit`].
@@ -334,9 +333,7 @@ impl MetricColumns {
     pub fn set(&mut self, key: KeyId, row: usize, value: f64, is_int: bool) {
         debug_assert!(row < self.rows, "metric row {row} out of range");
         if let Some(Some(vc)) = self.vecs.get_mut(key.index()) {
-            if row < vc.data.len() {
-                vc.data[row] = None;
-            }
+            vc.remove(&row);
         }
         let col = self.scalar_mut(key, is_int);
         col.grow_to(row);
@@ -354,12 +351,7 @@ impl MetricColumns {
     /// Vector read.
     #[inline]
     pub fn get_vec(&self, key: KeyId, row: usize) -> Option<&Arc<[f64]>> {
-        self.vecs
-            .get(key.index())?
-            .as_ref()?
-            .data
-            .get(row)?
-            .as_ref()
+        self.vecs.get(key.index())?.as_ref()?.get(&row)
     }
 
     /// Vector write (replaces any scalar value under the same key).
@@ -374,11 +366,9 @@ impl MetricColumns {
         if i >= self.vecs.len() {
             self.vecs.resize(i + 1, None);
         }
-        let vc = self.vecs[i].get_or_insert_with(VecCol::default);
-        if row >= vc.data.len() {
-            vc.data.resize(row + 1, None);
-        }
-        vc.data[row] = Some(value);
+        self.vecs[i]
+            .get_or_insert_with(VecCol::default)
+            .insert(row, value);
     }
 
     /// Sum of a scalar column over present rows (columnar fast path).
@@ -418,10 +408,8 @@ impl MetricColumns {
     pub fn for_each_vec(&self, mut f: impl FnMut(KeyId, usize, &Arc<[f64]>)) {
         for (ki, col) in self.vecs.iter().enumerate() {
             let Some(col) = col else { continue };
-            for (row, v) in col.data.iter().enumerate() {
-                if let Some(v) = v {
-                    f(KeyId(ki as u32), row, v);
-                }
+            for (&row, v) in col {
+                f(KeyId(ki as u32), row, v);
             }
         }
     }
@@ -452,7 +440,7 @@ impl MetricColumns {
         for (ki, col) in src.vecs.iter().enumerate() {
             let Some(col) = col else { continue };
             let sk = KeyId(ki as u32);
-            if let Some(Some(v)) = col.data.get(src_row) {
+            if let Some(v) = col.get(&src_row) {
                 let dk = if sk.is_global() {
                     sk
                 } else {
@@ -516,11 +504,9 @@ impl MetricColumns {
             bytes += col.present.capacity() * size_of::<u64>();
         }
         for col in self.vecs.iter().flatten() {
-            bytes += col.data.capacity() * size_of::<Option<Arc<[f64]>>>();
+            bytes += col.len() * size_of::<(usize, Arc<[f64]>)>();
             bytes += col
-                .data
-                .iter()
-                .flatten()
+                .values()
                 .map(|v| v.len() * size_of::<f64>())
                 .sum::<usize>();
         }

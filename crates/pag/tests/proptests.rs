@@ -122,6 +122,66 @@ fn decode_never_panics_on_hostile_length_prefixes() {
     assert!(pag::serialize::decode(&pag2_with(&column)).is_err());
 }
 
+/// `PAG2` bytes for `rows` plain vertices and `keys` vector metric
+/// columns, each holding one empty vector on the last row only.
+fn last_row_vector_columns(rows: u32, keys: u32) -> Vec<u8> {
+    let mut b = b"PAG2".to_vec();
+    b.extend_from_slice(&(keys + 1).to_le_bytes()); // strings: "g", k0, k1, …
+    b.extend_from_slice(&1u32.to_le_bytes());
+    b.push(b'g');
+    for k in 0..keys {
+        let name = format!("k{k}");
+        b.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        b.extend_from_slice(name.as_bytes());
+    }
+    b.push(0); // top-down view
+    b.extend_from_slice(&0u32.to_le_bytes()); // name = string 0
+    b.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0]); // procs, threads
+    b.push(0); // no root
+    b.extend_from_slice(&rows.to_le_bytes());
+    for _ in 0..rows {
+        b.push(4); // compute
+        b.extend_from_slice(&0u32.to_le_bytes()); // name
+        b.extend_from_slice(&0u32.to_le_bytes()); // no properties
+    }
+    b.extend_from_slice(&0u32.to_le_bytes()); // no edges
+    b.extend_from_slice(&0u32.to_le_bytes()); // no scalar vertex columns
+    b.extend_from_slice(&keys.to_le_bytes()); // vector vertex columns
+    for k in 0..keys {
+        b.extend_from_slice(&(k + 1).to_le_bytes()); // key name
+        b.extend_from_slice(&1u32.to_le_bytes()); // one entry
+        b.extend_from_slice(&(rows - 1).to_le_bytes()); // on the last row
+        b.extend_from_slice(&0u32.to_le_bytes()); // empty vector
+    }
+    b.extend_from_slice(&[0; 8]); // no edge columns
+    b
+}
+
+/// Fixed input for decode's allocation bound: many vector columns that
+/// each set only the last row must not each span every row (keys × rows
+/// slots, quadratic in the input length).
+#[test]
+fn sparse_vector_columns_decode_in_linear_space() {
+    let (rows, keys) = (4096, 1024);
+    let bytes = last_row_vector_columns(rows, keys);
+    let g = pag::serialize::decode(&bytes).unwrap();
+    assert_eq!(g.num_vertices(), rows as usize);
+    let last = VertexId(rows - 1);
+    for k in [0, keys - 1] {
+        let key = g.key_id(&format!("k{k}")).expect("column key interned");
+        assert_eq!(g.metric_vec(last, key), Some(&[][..]));
+        assert_eq!(g.metric_vec(VertexId(0), key), None);
+    }
+    // A bare vertex costs about ten times its 9 input bytes; the
+    // quadratic layout cost over a thousand times the input here.
+    assert!(
+        g.mem_footprint() < 32 * bytes.len(),
+        "decoded {} B from a {} B input",
+        g.mem_footprint(),
+        bytes.len()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -26,8 +26,11 @@
 //! traces — flows through the per-rank [`Collector`] shards, which
 //! [`merge_shards`] folds back into one [`RunData`] in rank order.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use progmodel::{CallTarget, CommOp, EvalCtx, FxHashMap, Program, Stmt, StmtId, StmtKind};
 
@@ -244,6 +247,8 @@ struct RecvInst {
 struct Channel {
     sends: VecDeque<SendInst>,
     recvs: VecDeque<RecvInst>,
+    /// Last scheduler round that published a post here.
+    round: u64,
 }
 
 struct CollInst {
@@ -251,6 +256,10 @@ struct CollInst {
     bytes: u64,
     posts: Vec<(u32, f64, CtxId, StmtId)>,
     completion: Option<f64>,
+    /// The last arriver's post, fixed when the instance completes.
+    late: Option<(u32, f64, CtxId, StmtId)>,
+    /// Last scheduler round that published a post here.
+    round: u64,
 }
 
 /// A cross-rank action buffered during a segment and published by the
@@ -288,12 +297,12 @@ struct RankCtx<'p> {
 /// Matcher state owned by the (single-threaded) inter-phase scheduler.
 #[derive(Default)]
 struct Shared {
-    channels: HashMap<(u32, u32, u32), Channel>,
+    channels: FxHashMap<(u32, u32, u32), Channel>,
     /// Per-channel match counters keying the message-drop fault stream
     /// (the match sequence *within* a channel is deterministic; the
     /// global interleaving across channels is not).
-    chan_matches: HashMap<(u32, u32, u32), u64>,
-    collectives: HashMap<u64, CollInst>,
+    chan_matches: FxHashMap<(u32, u32, u32), u64>,
+    collectives: FxHashMap<u64, CollInst>,
     /// Cross-rank dependence edges; each endpoint's context lives in
     /// that endpoint rank's shard until the final merge remaps them.
     msg_edges: Vec<MsgEdge>,
@@ -373,7 +382,7 @@ struct SegCtx<'a, 'p> {
     prog: &'p Program,
     cfg: &'a RunConfig,
     params: &'a FxHashMap<String, f64>,
-    crashed: &'a [bool],
+    crashed: &'a [AtomicBool],
 }
 
 impl<'a, 'p> SegCtx<'a, 'p> {
@@ -434,7 +443,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 
     /// True when `rank` was crashed as of the start of this phase.
     fn is_crashed(&self, rank: u32) -> bool {
-        self.crashed[rank as usize]
+        self.crashed[rank as usize].load(Ordering::Relaxed)
     }
 
     fn ectx<'s>(&'s self, state: &'s RankState<'p>) -> EvalCtx<'s> {
@@ -947,52 +956,48 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 /// The inter-phase scheduler: runs on one thread, owns the matcher state,
 /// and performs every cross-rank step in rank order.
 struct Sched<'a, 'p> {
-    prog: &'p Program,
     cfg: &'a RunConfig,
-    params: &'a FxHashMap<String, f64>,
+    seg: &'a SegCtx<'a, 'p>,
+    phase: &'a Phase,
     rankctxs: &'a [Mutex<RankCtx<'p>>],
     shared: &'a mut Shared,
-    /// Live crashed set (updated as crashes are discovered; snapshotted
-    /// once per phase for the segments).
-    crashed: Vec<bool>,
+    /// Ranks not (yet) crashed: the membership collectives wait for.
+    live: usize,
+    /// Inter-phase rounds so far; stamps the channels and collectives
+    /// touched in the current round.
+    round: u64,
 }
 
 impl<'a, 'p> Sched<'a, 'p> {
-    fn drive(&mut self, pool: Option<(&PoolCtrl, usize)>) -> Result<(), SimError> {
+    /// Record that rank `r` crashed. Only called between phases, while no
+    /// helper runs (see [`Phase`]).
+    fn mark_crashed(&mut self, r: usize) {
+        self.phase.crashed[r].store(true, Ordering::Relaxed);
+        self.live -= 1;
+    }
+
+    fn drive(&mut self) -> Result<(), SimError> {
         let n = self.rankctxs.len();
-        let mut runnable = vec![false; n];
         let mut phase_idx: u64 = 0;
         loop {
-            // Phase start: snapshot who can run and who is (already) dead.
-            let mut progressed = false;
-            for (r, flag) in runnable.iter_mut().enumerate() {
-                let rc = self.rankctxs[r].lock().unwrap();
-                *flag = !rc.state.done && rc.state.blocked.is_none() && rc.state.health.is_ok();
-                progressed |= *flag;
+            self.round += 1;
+            // Phase start: list who can run, in rank order.
+            let mut nrun = 0;
+            for (r, m) in self.rankctxs.iter().enumerate() {
+                let rc = m.lock().unwrap();
+                if !rc.state.done && rc.state.blocked.is_none() && rc.state.health.is_ok() {
+                    self.phase.ranks[nrun].store(r as u32, Ordering::Relaxed);
+                    nrun += 1;
+                }
             }
-            // Segments: the identical per-rank code runs either inline
-            // (serial) or strided across the pool — bit-identical by
-            // construction since segments touch only rank-local state.
+            let progressed = nrun > 0;
+            // Segments: the identical per-rank code runs on whichever
+            // thread claims the rank — bit-identical by construction since
+            // segments touch only rank-local state.
             if progressed {
                 let t0 = self.cfg.obs.now_us();
-                match pool {
-                    Some((ctrl, nworkers)) => ctrl.run_phase(nworkers, &runnable, &self.crashed),
-                    None => {
-                        let seg = SegCtx {
-                            prog: self.prog,
-                            cfg: self.cfg,
-                            params: self.params,
-                            crashed: &self.crashed,
-                        };
-                        for (r, &run) in runnable.iter().enumerate() {
-                            if run {
-                                seg.run_segment(&mut self.rankctxs[r].lock().unwrap());
-                            }
-                        }
-                    }
-                }
+                self.phase.run(self.seg, self.rankctxs, nrun);
                 if self.cfg.obs.is_enabled() {
-                    let nrun = runnable.iter().filter(|&&x| x).count();
                     self.cfg.obs.record_span(
                         obs::Layer::Simrt,
                         "phase",
@@ -1011,34 +1016,31 @@ impl<'a, 'p> Sched<'a, 'p> {
                     return Err(e);
                 }
             }
-            // Publish buffered effects in rank order.
+            // Publish buffered effects in rank order, listing each channel
+            // and collective touched this round once, in first-touch order
+            // (that order fixes the order of `msg_edges`).
             let mut touched_chans: Vec<(u32, u32, u32)> = Vec::new();
             let mut touched_colls: Vec<u64> = Vec::new();
+            let round = self.round;
             for m in self.rankctxs {
-                let effects = std::mem::take(&mut m.lock().unwrap().effects);
-                for eff in effects {
+                let mut rc = m.lock().unwrap();
+                for eff in rc.effects.drain(..) {
                     match eff {
                         Effect::Send { key, inst } => {
-                            if !touched_chans.contains(&key) {
+                            let chan = self.shared.channels.entry(key).or_default();
+                            if chan.round != round {
+                                chan.round = round;
                                 touched_chans.push(key);
                             }
-                            self.shared
-                                .channels
-                                .entry(key)
-                                .or_default()
-                                .sends
-                                .push_back(inst);
+                            chan.sends.push_back(inst);
                         }
                         Effect::Recv { key, inst } => {
-                            if !touched_chans.contains(&key) {
+                            let chan = self.shared.channels.entry(key).or_default();
+                            if chan.round != round {
+                                chan.round = round;
                                 touched_chans.push(key);
                             }
-                            self.shared
-                                .channels
-                                .entry(key)
-                                .or_default()
-                                .recvs
-                                .push_back(inst);
+                            chan.recvs.push_back(inst);
                         }
                         Effect::Coll {
                             inst,
@@ -1049,9 +1051,6 @@ impl<'a, 'p> Sched<'a, 'p> {
                             ctx,
                             stmt,
                         } => {
-                            if !touched_colls.contains(&inst) {
-                                touched_colls.push(inst);
-                            }
                             let entry =
                                 self.shared
                                     .collectives
@@ -1061,11 +1060,21 @@ impl<'a, 'p> Sched<'a, 'p> {
                                         bytes: 0,
                                         posts: Vec::new(),
                                         completion: None,
+                                        late: None,
+                                        round: 0,
                                     });
+                            if entry.round != round {
+                                entry.round = round;
+                                touched_colls.push(inst);
+                            }
                             debug_assert_eq!(
                                 entry.kind, kind,
                                 "ranks disagree on collective {inst}: {:?} vs {kind:?}",
                                 entry.kind
+                            );
+                            debug_assert!(
+                                entry.posts.iter().all(|p| p.0 != rank),
+                                "rank {rank} posted collective {inst} twice"
                             );
                             entry.bytes = entry.bytes.max(bytes);
                             entry.posts.push((rank, post, ctx, stmt));
@@ -1082,12 +1091,12 @@ impl<'a, 'p> Sched<'a, 'p> {
                 let newly = {
                     let rc = self.rankctxs[r].lock().unwrap();
                     match rc.state.health {
-                        Health::Crashed(at) if !self.crashed[r] => Some(at),
+                        Health::Crashed(at) if !self.seg.is_crashed(r as u32) => Some(at),
                         _ => None,
                     }
                 };
                 if let Some(at) = newly {
-                    self.crashed[r] = true;
+                    self.mark_crashed(r);
                     self.notify_crash(r as u32, at);
                     any_crash = true;
                 }
@@ -1118,7 +1127,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                 if self.any_injected_hang() {
                     return Err(self.hang_error(blocked));
                 }
-                if self.crashed.iter().any(|&c| c) {
+                if self.live < n {
                     // Survivors stuck forever behind the crash (e.g. a
                     // dependence the fail-fast notification cannot break):
                     // mark them hung and degrade gracefully to a partial
@@ -1168,7 +1177,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
             }
             if let Some(at) = fired_crash {
-                self.crashed[r] = true;
+                self.mark_crashed(r);
                 self.notify_crash(rank, at);
                 self.recheck_collectives();
             }
@@ -1392,11 +1401,15 @@ impl<'a, 'p> Sched<'a, 'p> {
     /// A collective completes when every *live* (non-crashed) rank has
     /// posted; crashed ranks are dropped from the membership (the
     /// shrunken communicator), while hung ranks still count — a hang
-    /// blocks collectives, which is how it propagates.
+    /// blocks collectives, which is how it propagates. Each rank posts an
+    /// instance at most once, so counting the live posters is enough.
     fn collective_ready(&self, inst: &CollInst) -> bool {
-        (0..self.cfg.nranks)
-            .filter(|&x| !self.crashed[x as usize])
-            .all(|x| inst.posts.iter().any(|&(pr, _, _, _)| pr == x))
+        let live_posters = inst
+            .posts
+            .iter()
+            .filter(|p| !self.seg.is_crashed(p.0))
+            .count();
+        live_posters == self.live
     }
 
     /// Complete collective `inst` if every live rank has posted.
@@ -1419,6 +1432,12 @@ impl<'a, 'p> Sched<'a, 'p> {
             .map(|&(_, p, _, _)| p)
             .fold(f64::NEG_INFINITY, f64::max);
         entry.completion = Some(max_post + cost);
+        // `max_by` keeps the last of equal maxima.
+        entry.late = entry
+            .posts
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .copied();
     }
 
     /// Re-evaluate pending collectives after a crash shrank the
@@ -1548,16 +1567,14 @@ impl<'a, 'p> Sched<'a, 'p> {
                 kind,
                 bytes,
             } => {
-                let Some(completion) = self.shared.collectives.get(inst).and_then(|c| c.completion)
-                else {
-                    return false;
-                };
-                // Dependence edge from the last arriver to this rank.
-                let late = self
+                let Some((completion, late)) = self
                     .shared
                     .collectives
                     .get(inst)
-                    .and_then(|ci| ci.posts.iter().max_by(|a, b| a.1.total_cmp(&b.1)).copied());
+                    .and_then(|c| Some((c.completion?, c.late)))
+                else {
+                    return false;
+                };
                 let mut rc = rankctxs[r].lock().unwrap();
                 let rank = rc.state.rank;
                 let resume = completion.max(*post);
@@ -1576,6 +1593,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                     wait,
                 });
                 rc.shard.trace(rank, *stmt, *post, resume);
+                // Dependence edge from the last arriver to this rank.
                 if let Some((late_rank, late_post, late_ctx, late_stmt)) = late {
                     if late_rank != rank && wait > 0.0 && late_post > *post {
                         self.msg_edge(MsgEdge {
@@ -1666,100 +1684,161 @@ impl<'a, 'p> Sched<'a, 'p> {
     }
 }
 
-// ---------------------------------------------------------- worker pool
+// ----------------------------------------------------------- phase pool
 
-struct PoolState {
+/// One segment phase, shared by the scheduler thread and its helper
+/// threads.
+///
+/// The scheduler lists the runnable ranks in `ranks`, opens the phase and
+/// then claims ranks itself; every thread takes the next unclaimed rank
+/// through the `next` cursor until none is left, so one long segment
+/// never leaves another thread idle behind a fixed share. The scheduler
+/// then closes the phase and sleeps until the last helper has left it.
+/// Helpers sleep on `wake` between phases; nothing spins. A phase with
+/// one runnable rank, or a pool without helpers, runs on the scheduler
+/// thread alone without waking anyone.
+///
+/// `ranks`, `crashed` and the cursor are written by the scheduler only
+/// while the phase is closed and no helper is in it. Relaxed atomics
+/// suffice: a helper enters a phase under `gate` after the scheduler
+/// opened it under `gate` (that lock orders the writes before the
+/// helper's reads), each helper leaves under `gate`, and the segments'
+/// own data moves under the rank mutexes.
+struct Phase {
+    /// This phase's runnable ranks, in rank order.
+    ranks: Vec<AtomicU32>,
+    /// Number of valid entries of `ranks`.
+    len: AtomicUsize,
+    /// Index of the next unclaimed entry of `ranks`.
+    next: AtomicUsize,
+    /// Ranks known crashed as of this phase's start: a rank crashing
+    /// mid-phase becomes visible to its peers only at the next phase.
+    crashed: Vec<AtomicBool>,
+    helpers: usize,
+    gate: Mutex<Gate>,
+    /// Helpers wait here for a phase to open (or for shutdown).
+    wake: Condvar,
+    /// The scheduler waits here for the last helper to leave a phase.
+    idle: Condvar,
+}
+
+struct Gate {
+    /// Bumped each time a phase opens, so a helper joins a phase once.
     generation: u64,
+    open: bool,
+    /// Helpers inside the current phase.
+    active: usize,
     shutdown: bool,
-    done_count: usize,
-    runnable: Vec<bool>,
-    crashed: Vec<bool>,
+    /// The first panic a helper caught, re-raised on the scheduler.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// Generation-barrier protocol for the persistent worker pool: the
-/// scheduler publishes a phase (runnable set + crash snapshot) by bumping
-/// `generation`; each worker runs its strided share of the runnable ranks
-/// and increments `done_count`; the scheduler waits for all workers.
-struct PoolCtrl {
-    state: Mutex<PoolState>,
-    start: Condvar,
-    done: Condvar,
-}
-
-impl PoolCtrl {
-    fn new(nranks: usize) -> Self {
-        PoolCtrl {
-            state: Mutex::new(PoolState {
+impl Phase {
+    fn new(nranks: usize, helpers: usize) -> Self {
+        Phase {
+            ranks: (0..nranks).map(|_| AtomicU32::new(0)).collect(),
+            len: AtomicUsize::new(0),
+            next: AtomicUsize::new(0),
+            crashed: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
+            helpers,
+            gate: Mutex::new(Gate {
                 generation: 0,
+                open: false,
+                active: 0,
                 shutdown: false,
-                done_count: 0,
-                runnable: vec![false; nranks],
-                crashed: vec![false; nranks],
+                panic: None,
             }),
-            start: Condvar::new(),
-            done: Condvar::new(),
+            wake: Condvar::new(),
+            idle: Condvar::new(),
         }
     }
 
-    /// Run one phase on the pool; blocks until every worker finished.
-    fn run_phase(&self, nworkers: usize, runnable: &[bool], crashed: &[bool]) {
-        let mut st = self.state.lock().unwrap();
-        st.runnable.copy_from_slice(runnable);
-        st.crashed.copy_from_slice(crashed);
-        st.done_count = 0;
-        st.generation += 1;
-        self.start.notify_all();
-        while st.done_count < nworkers {
-            st = self.done.wait(st).unwrap();
+    fn gate(&self) -> std::sync::MutexGuard<'_, Gate> {
+        // Nothing panics while holding the gate.
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run the segments of the first `len` entries of `ranks`; returns
+    /// once every one has run. A helper's panic is re-raised here.
+    fn run<'p>(&self, seg: &SegCtx<'_, 'p>, rankctxs: &[Mutex<RankCtx<'p>>], len: usize) {
+        self.len.store(len, Ordering::Relaxed);
+        self.next.store(0, Ordering::Relaxed);
+        let shared = self.helpers > 0 && len > 1;
+        if shared {
+            let mut g = self.gate();
+            g.generation += 1;
+            g.open = true;
+            drop(g);
+            self.wake.notify_all();
         }
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
-        self.start.notify_all();
-    }
-}
-
-fn worker_loop<'p>(
-    w: usize,
-    nworkers: usize,
-    rankctxs: &[Mutex<RankCtx<'p>>],
-    ctrl: &PoolCtrl,
-    prog: &'p Program,
-    cfg: &RunConfig,
-    params: &FxHashMap<String, f64>,
-) {
-    let mut generation = 0u64;
-    loop {
-        let (runnable, crashed) = {
-            let mut st = ctrl.state.lock().unwrap();
-            while !st.shutdown && st.generation == generation {
-                st = ctrl.start.wait(st).unwrap();
+        self.claim(seg, rankctxs);
+        if shared {
+            let mut g = self.gate();
+            g.open = false;
+            while g.active > 0 {
+                g = self.idle.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
-            if st.shutdown {
+            if let Some(payload) = g.panic.take() {
+                drop(g);
+                resume_unwind(payload);
+            }
+        }
+    }
+
+    /// Claim and run unclaimed ranks until none is left.
+    fn claim<'p>(&self, seg: &SegCtx<'_, 'p>, rankctxs: &[Mutex<RankCtx<'p>>]) {
+        let len = self.len.load(Ordering::Relaxed);
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
                 return;
             }
-            generation = st.generation;
-            (st.runnable.clone(), st.crashed.clone())
-        };
-        let seg = SegCtx {
-            prog,
-            cfg,
-            params,
-            crashed: &crashed,
-        };
-        let mut r = w;
-        while r < rankctxs.len() {
-            if runnable[r] {
-                seg.run_segment(&mut rankctxs[r].lock().unwrap());
+            let r = self.ranks[i].load(Ordering::Relaxed) as usize;
+            seg.run_segment(&mut rankctxs[r].lock().unwrap());
+        }
+    }
+
+    /// A helper thread's life: join each phase once, claim ranks, leave.
+    /// A panicking segment is caught and handed to the scheduler, so the
+    /// helper still leaves the phase and the scheduler never waits on a
+    /// dead thread.
+    fn help<'p>(&self, seg: &SegCtx<'_, 'p>, rankctxs: &[Mutex<RankCtx<'p>>]) {
+        let mut seen = 0;
+        loop {
+            let mut g = self.gate();
+            loop {
+                if g.shutdown {
+                    return;
+                }
+                if g.open && g.generation != seen {
+                    break;
+                }
+                g = self.wake.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
-            r += nworkers;
+            seen = g.generation;
+            g.active += 1;
+            drop(g);
+            let caught = catch_unwind(AssertUnwindSafe(|| self.claim(seg, rankctxs)));
+            let mut g = self.gate();
+            if let Err(payload) = caught {
+                g.panic.get_or_insert(payload);
+            }
+            g.active -= 1;
+            if g.active == 0 {
+                self.idle.notify_one();
+            }
         }
-        let mut st = ctrl.state.lock().unwrap();
-        st.done_count += 1;
-        if st.done_count == nworkers {
-            ctrl.done.notify_all();
-        }
+    }
+}
+
+/// Releases the helpers when the scheduler returns or unwinds, so the
+/// thread scope can join them.
+struct Shutdown<'a>(&'a Phase);
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        self.0.gate().shutdown = true;
+        self.0.wake.notify_all();
     }
 }
 
@@ -1820,32 +1899,38 @@ impl<'p> Engine<'p> {
                 .unwrap_or(1),
         }
         .min(nranks.max(1));
-        let prog = self.prog;
-        let cfg = self.cfg;
-        let params = &self.params;
+        let phase = &Phase::new(nranks, workers - 1);
+        let seg = &SegCtx {
+            prog: self.prog,
+            cfg: self.cfg,
+            params: &self.params,
+            crashed: &phase.crashed,
+        };
         let rankctxs: &[Mutex<RankCtx<'p>>] = &self.rankctxs;
         let mut sched = Sched {
-            prog,
-            cfg,
-            params,
+            cfg: self.cfg,
+            seg,
+            phase,
             rankctxs,
             shared: &mut self.shared,
-            crashed: vec![false; nranks],
+            live: nranks,
+            round: 0,
         };
-        if workers <= 1 {
-            return sched.drive(None);
-        }
-        // The pool control block must outlive the scope's spawned threads,
-        // so it lives here, not inside the scope closure.
-        let ctrl = PoolCtrl::new(nranks);
+        // The scheduler thread is one of the workers. It is spawned, not
+        // borrowed from the caller, so the run's allocation churn stays
+        // off the caller's thread, whose later stages it slowed
+        // (DESIGN.md §8.1); the caller wakes once, at the end of the run.
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let ctrl = &ctrl;
-                s.spawn(move || worker_loop(w, workers, rankctxs, ctrl, prog, cfg, params));
+            for _ in 1..workers {
+                s.spawn(move || phase.help(seg, rankctxs));
             }
-            let out = sched.drive(Some((&ctrl, workers)));
-            ctrl.shutdown();
-            out
+            let scheduler = s.spawn(move || {
+                let _shutdown = Shutdown(phase);
+                sched.drive()
+            });
+            scheduler
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload))
         })
     }
 

@@ -2,7 +2,11 @@
 //! collectives, wait propagation, locks, tracing, determinism and failure
 //! injection.
 
-use progmodel::{c, nranks, nthreads, rank, thread, ProgramBuilder};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use progmodel::{c, nranks, nthreads, rank, thread, CallTarget, ProgramBuilder, Stmt, StmtKind};
 use simrt::{simulate, CollectionConfig, CommKindTag, RunConfig, SimError};
 
 /// Two ranks: rank 0 computes 100 µs then sends; rank 1 receives.
@@ -214,6 +218,40 @@ fn bad_wait_index_is_reported() {
     match simulate(&prog, &RunConfig::new(1)) {
         Err(SimError::BadWait { outstanding: 0, .. }) => {}
         other => panic!("expected BadWait, got {other:?}"),
+    }
+}
+
+#[test]
+fn lowest_failing_rank_reports_at_any_worker_count() {
+    // Ranks 2 and 5 both address a peer past the last rank in the same
+    // phase; rank 2 computes first, so on the pool rank 5 usually fails
+    // earlier in wall time. The peer names the rank that failed.
+    let mut pb = ProgramBuilder::new("twofail");
+    let main = pb.declare("main", "f.c");
+    pb.define(main, |f| {
+        f.branch(
+            "slow",
+            rank().eq(2.0),
+            |s| {
+                s.loop_("busy", c(5000.0), |b| b.compute("k", c(1.0)));
+                s.send(nranks() + rank(), c(8.0), 0);
+            },
+            |_| {},
+        );
+        f.branch(
+            "fast",
+            rank().eq(5.0),
+            |s| s.send(nranks() + rank(), c(8.0), 0),
+            |_| {},
+        );
+        f.compute("rest", c(10.0));
+    });
+    let prog = pb.build(main);
+    for workers in 1..=4 {
+        match simulate(&prog, &RunConfig::new(8).with_sim_workers(workers)) {
+            Err(SimError::BadPeer { peer: 10, .. }) => {}
+            other => panic!("{workers} workers: expected rank 2's BadPeer, got {other:?}"),
+        }
     }
 }
 
@@ -479,6 +517,72 @@ fn recursion_through_a_branch_trips_the_guard() {
         simulate(&prog, &RunConfig::new(1)),
         Err(SimError::StackOverflow { .. })
     ));
+}
+
+/// Empty every indirect call's candidate list, so selecting a target
+/// divides by zero.
+fn clear_indirect_candidates(stmts: &mut [Stmt]) {
+    for s in stmts {
+        match &mut s.kind {
+            StmtKind::Call {
+                target: CallTarget::Indirect { candidates, .. },
+            } => candidates.clear(),
+            StmtKind::Branch {
+                then_body,
+                else_body,
+                ..
+            } => {
+                clear_indirect_candidates(then_body);
+                clear_indirect_candidates(else_body);
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn panicking_segment_reaches_the_caller() {
+    // Rank 0 keeps one thread busy while ranks 1.. panic, so on the pool
+    // the panics land on helper threads as well as on the scheduler.
+    let mut pb = ProgramBuilder::new("boom");
+    let main = pb.declare("main", "b.c");
+    let fa = pb.declare("fa", "b.c");
+    pb.define(fa, |f| f.compute("ka", c(1.0)));
+    pb.define(main, |f| {
+        f.branch(
+            "role",
+            rank().eq(0.0),
+            |s| s.loop_("busy", c(20000.0), |b| b.compute("k", c(1.0))),
+            |o| o.call_indirect(vec![fa], rank()),
+        );
+    });
+    let mut prog = pb.build(main);
+    for f in &mut prog.functions {
+        clear_indirect_candidates(&mut f.body);
+    }
+    for workers in [1, 2, 4] {
+        let prog = prog.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = RunConfig::new(8).with_sim_workers(workers);
+            let out = catch_unwind(AssertUnwindSafe(|| simulate(&prog, &cfg)));
+            let msg = out.err().map(|p| {
+                p.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("simulate hung at {workers} workers"));
+        let msg = msg.unwrap_or_else(|| panic!("simulate returned at {workers} workers"));
+        assert!(
+            msg.contains("remainder"),
+            "{workers} workers: the segment's own panic must reach the caller, got {msg:?}"
+        );
+    }
 }
 
 #[test]

@@ -102,3 +102,59 @@ fn simulation_digests_match_golden_values() {
         }
     }
 }
+
+/// A crash, message drops, sample loss and PMU corruption at once, as in
+/// the engine's own fault-injection bit-identity test.
+fn faulted(nranks: u32, crash: Option<u32>) -> RunConfig {
+    let mut plan = simrt::FaultPlan::new()
+        .with_message_drop(0.1, 500.0)
+        .with_sample_loss(0.2)
+        .with_pmu_corruption(0.1);
+    if let Some(rank) = crash {
+        plan = plan.crash_rank(rank, 2000.0);
+    }
+    RunConfig::new(nranks).with_seed(7).with_faults(plan)
+}
+
+/// Digest of `name` simulated under `cfg` at every worker count 1..=4,
+/// asserting they agree.
+fn digest_at_any_worker_count(name: &str, cfg: &RunConfig) -> simrt::RunData {
+    let prog = driver::workload(name).unwrap();
+    let want = simrt::simulate(&prog, &cfg.clone().with_sim_workers(1))
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    for workers in 2..=4 {
+        let got = simrt::simulate(&prog, &cfg.clone().with_sim_workers(workers))
+            .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
+        assert_eq!(
+            got.digest(),
+            want.digest(),
+            "{name} at {} ranks: {workers} workers diverged from 1",
+            cfg.nranks
+        );
+    }
+    want
+}
+
+#[test]
+fn faulted_runs_are_bit_identical_at_any_worker_count_at_profile_scale() {
+    for name in ["cg", "zeusmp", "lammps"] {
+        let run = digest_at_any_worker_count(name, &faulted(64, Some(5)));
+        assert!(
+            matches!(run.rank_status[5], simrt::RankStatus::Crashed { .. }),
+            "{name}: the crash must fire"
+        );
+        assert!(run.retransmits > 0, "{name}: the drop rate must fire");
+    }
+}
+
+#[test]
+fn runs_with_fewer_ranks_than_workers_are_bit_identical() {
+    for name in ["lu", "zeusmp", "vite"] {
+        digest_at_any_worker_count(name, &faulted(1, None));
+        let run = digest_at_any_worker_count(name, &faulted(3, Some(2)));
+        assert!(
+            matches!(run.rank_status[2], simrt::RankStatus::Crashed { .. }),
+            "{name}: the crash must fire"
+        );
+    }
+}
